@@ -29,7 +29,8 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   worker-count-independent shard blocks, :func:`spawn_shard_generators`
   gives each shard an independent ``SeedSequence``-spawned stream, and
   :func:`monte_carlo_tally_sharded` fans the shards over a thread or
-  process pool (:func:`run_sharded`), merging tallies in shard order.
+  process pool (:func:`repro.engine.runtime.run_supervised`), merging
+  tallies in shard order.
   Legacy single-stream sampling stays the seeded default for
   bit-compatibility; spawned streams engage only when parallelism is
   requested (see :func:`use_spawned_streams`).
@@ -471,9 +472,6 @@ _SHARD_GRAIN = 16
 #: overhead dominates the vectorized tally.
 _MIN_SHARD_TRIALS = 4096
 
-#: Executor modes accepted by :func:`run_sharded`.
-EXECUTOR_MODES = ("serial", "thread", "process")
-
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -597,19 +595,16 @@ def run_sharded(worker, payloads: Sequence, *, jobs: int, mode: str = "process")
     back in payload order regardless of completion order, so merges are
     deterministic under any worker count.
 
-    This is the *bare* dispatch — one attempt per shard, first worker
-    exception propagates.  It delegates to
-    :func:`repro.engine.runtime.dispatch`; callers that want timeouts,
-    retries, degradation or checkpointing use
-    :func:`repro.engine.runtime.run_supervised` instead (the engine
-    backends route there when the :class:`~repro.engine.execution.ExecutionPolicy`
-    asks for supervision).
+    A thin shorthand for :func:`repro.engine.runtime.run_supervised` under
+    the default :class:`~repro.engine.runtime.Supervision` (one attempt per
+    shard; the first worker exception propagates as itself), returning
+    just the results.
     """
     # Lazy import: kernels sits below the engine layer, and nothing calls
     # run_sharded while the engine package is importing, so there's no cycle.
-    from repro.engine.runtime import dispatch
+    from repro.engine.runtime import run_supervised
 
-    return dispatch(worker, payloads, jobs=jobs, mode=mode)
+    return run_supervised(worker, payloads, jobs=jobs, mode=mode)[0]
 
 
 def merge_tallies(tallies: Sequence[BatchTally]) -> BatchTally:
@@ -649,12 +644,13 @@ def monte_carlo_tally_sharded(
     are merged in shard order — so the result depends on ``(trials, seed,
     shard_trials)`` but never on ``jobs`` or ``mode``.
 
-    With ``supervision`` (a :class:`repro.engine.runtime.Supervision`) the
-    fan-out runs under the fault-tolerant runtime: failed shards retry on a
-    generator rebuilt from the *same* spawned child, so a retried run stays
-    bit-identical to a clean one; under ``on_shard_failure='degrade'`` the
-    surviving shards merge into a smaller tally (``tally.trials`` reports
-    the effective count).  ``chaos`` injects worker faults for self-tests.
+    The fan-out runs under the fault-tolerant runtime with ``supervision``
+    (a :class:`repro.engine.runtime.Supervision`; ``None`` means the
+    default): failed shards retry on a generator rebuilt from the *same*
+    spawned child, so a retried run stays bit-identical to a clean one;
+    under ``on_shard_failure='degrade'`` the surviving shards merge into a
+    smaller tally (``tally.trials`` reports the effective count).
+    ``chaos`` injects worker faults for self-tests.
     """
     plan = plan_shards(trials, shard_trials)
     children = spawn_shard_sequences(seed, plan.num_shards)
@@ -664,10 +660,6 @@ def monte_carlo_tally_sharded(
         (spec, fleet, shard, np.random.default_rng(child))
         for shard, child in zip(plan.shards, children)
     ]
-    if supervision is None and chaos is None:
-        tallies = run_sharded(_tally_shard, payloads, jobs=jobs, mode=mode)
-        return merge_tallies(tallies), plan
-
     from repro.engine.runtime import run_supervised
 
     def rebuild(index: int):

@@ -75,8 +75,8 @@ def _policy_from_args(args: argparse.Namespace):
     every ``N`` (shard plans never depend on the worker count); negative
     means one worker per CPU.  ``--timeout``/``--retries``/
     ``--on-shard-failure``/``--resume`` (where the subcommand offers
-    them) route execution through the supervised campaign runtime; none
-    of them changes any printed value.
+    them) configure the supervised campaign runtime; none of them
+    changes any printed value.
     """
     from repro.engine import ExecutionPolicy
 

@@ -350,12 +350,6 @@ def walk_lock_regions(
         yield from visit(stmt, frozenset())
 
 
-def iter_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
-
-
 def call_name(call: ast.Call) -> Optional[str]:
     """Bare callable name of a call (``foo(...)`` or ``obj.foo(...)``)."""
     func = call.func

@@ -34,10 +34,10 @@ partitions, bursts and Byzantine adversary mixes.  Answers come back as a
 typed :class:`AnswerSet` whose :class:`Provenance` records backend, batch
 and shard counts.
 
-Campaign execution is fault-tolerant: an :class:`ExecutionPolicy` with
+Every pool fan-out goes through :func:`repro.engine.runtime.run_supervised`,
+and campaign execution is fault-tolerant: an :class:`ExecutionPolicy`'s
 supervision knobs (``timeout``, ``retries``, ``on_shard_failure``,
-``checkpoint_dir``) routes shard fan-out through
-:func:`repro.engine.runtime.run_supervised` — per-shard timeouts, retries
+``checkpoint_dir``) give campaigns per-shard timeouts, retries
 that re-execute the same spawned stream bit-identically, worker-loss
 recovery, graceful degradation with ``degraded`` provenance, and
 checkpoint/resume journals (:class:`~repro.engine.runtime.CampaignCheckpoint`).
@@ -57,7 +57,6 @@ from repro.engine.runtime import (
     CampaignCheckpoint,
     RunReport,
     Supervision,
-    dispatch,
     run_supervised,
 )
 from repro.engine.query import (
@@ -113,7 +112,6 @@ __all__ = [
     "Supervision",
     "RunReport",
     "CampaignCheckpoint",
-    "dispatch",
     "run_supervised",
     "ChaosPlan",
     "ShardFault",

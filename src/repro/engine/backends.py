@@ -443,7 +443,6 @@ def simulation_backend(
     from repro.analysis.kernels import (
         plan_shards,
         rebuild_shard_generators,
-        run_sharded,
         spawn_shard_sequences,
     )
     from repro.analysis.montecarlo import estimate_from_counts
@@ -473,7 +472,6 @@ def simulation_backend(
             "campaign",
             label=query.label or "",
             replicas=query.replicas,
-            supervised=policy.supervision is not None,
         ) as campaign_span:
             # One spawned stream per *replica* (not per shard): replica i's
             # verdict depends only on (seed, i), making the campaign invariant
@@ -512,30 +510,25 @@ def simulation_backend(
             payloads = [build_payload(bounds) for bounds in slices]
             jobs = policy.jobs if policy.parallel else 1
             mode = policy.mode if policy.parallel else "serial"
-            supervision = policy.supervision
-            if supervision is None:
-                chunks = run_sharded(_campaign_chunk, payloads, jobs=jobs, mode=mode)
-                report = None
-            else:
-                chunks, report = run_supervised(
-                    _campaign_chunk,
-                    payloads,
-                    jobs=jobs,
-                    mode=mode,
-                    supervision=supervision,
-                    rebuild=lambda index, slices=slices, build=build_payload: build(
-                        slices[index]
-                    ),
-                    checkpoint=_campaign_checkpoint(policy, key, plan.num_shards),
-                    chaos=policy.chaos,
-                )
+            chunks, report = run_supervised(
+                _campaign_chunk,
+                payloads,
+                jobs=jobs,
+                mode=mode,
+                supervision=policy.supervision,
+                rebuild=lambda index, slices=slices, build=build_payload: build(
+                    slices[index]
+                ),
+                checkpoint=_campaign_checkpoint(policy, key, plan.num_shards),
+                chaos=policy.chaos,
+            )
         verdicts = [
             verdict
             for chunk_result in chunks
             if chunk_result is not None
             for verdict in chunk_result
         ]
-        degraded = report is not None and report.degraded
+        degraded = report.degraded
         effective = len(verdicts)
         if degraded and not effective:
             raise EstimationError(

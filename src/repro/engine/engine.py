@@ -464,28 +464,13 @@ class ReliabilityEngine:
             local_items = list(singles)
             pool_items = []
         elif pool_items:
-            if policy.mode == "thread":
-
-                def worker(entry):
-                    _, scenario, _, estimator_fn, _ = entry
-                    start = time.perf_counter()
-                    result, shards = estimate_under_policy(
-                        estimator_fn, scenario, policy, jobs=1
-                    )
-                    return result, shards, time.perf_counter() - start
-
-                completed = run_sharded(
-                    # repro: allow[pool-safety] -- thread-only branch; never pickled
-                    worker, pool_items, jobs=policy.jobs, mode="thread"
-                )
-            else:
-                payloads = [
-                    (scenario, method, policy)
-                    for _, scenario, method, _, _ in pool_items
-                ]
-                completed = run_sharded(
-                    _run_single_in_worker, payloads, jobs=policy.jobs, mode="process"
-                )
+            payloads = [
+                (scenario, estimator_fn, policy)
+                for _, scenario, _, estimator_fn, _ in pool_items
+            ]
+            completed = run_sharded(
+                _run_single_in_worker, payloads, jobs=policy.jobs, mode=policy.mode
+            )
 
         for entry, (result, shards, seconds) in zip(pool_items, completed):
             index, scenario, method, _, key = entry
@@ -622,12 +607,12 @@ class ReliabilityEngine:
 
 
 def _run_single_in_worker(
-    payload: tuple[Scenario, str, ExecutionPolicy]
+    payload: tuple[Scenario, EstimatorFn, ExecutionPolicy]
 ) -> tuple[ReliabilityResult, int, float]:
-    """Process-pool entry point: one scenario, resolved from the forked
-    global registry (per-engine overrides never reach this path)."""
-    scenario, method, policy = payload
-    estimator_fn = get_estimator(method)
+    """Pool entry point: one scenario under the policy, at ``jobs=1`` so
+    pools never nest.  Process pools only ever receive stock estimators,
+    which are module-level functions and pickle by reference."""
+    scenario, estimator_fn, policy = payload
     start = time.perf_counter()
     result, shards = estimate_under_policy(estimator_fn, scenario, policy, jobs=1)
     return result, shards, time.perf_counter() - start

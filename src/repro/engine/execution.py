@@ -23,10 +23,7 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import InvalidConfigurationError
-from repro.engine.runtime import FAILURE_MODES, Supervision
-
-#: Executor modes a policy may request.
-POLICY_MODES = ("serial", "thread", "process")
+from repro.engine.runtime import EXECUTOR_MODES, FAILURE_MODES, Supervision
 
 
 @dataclass(frozen=True)
@@ -48,9 +45,12 @@ class ExecutionPolicy:
         of the determinism key (a different shard size is a different
         spawned-stream plan).
     ``timeout`` / ``retries`` / ``backoff`` / ``on_shard_failure``
-        Fault-tolerance knobs, forwarded to the supervised runtime as a
-        :class:`~repro.engine.runtime.Supervision` (see
-        :attr:`supervision`).  None of them changes any result value —
+        Fault-tolerance knobs of simulation campaigns, forwarded as a
+        :class:`~repro.engine.runtime.Supervision` (see :attr:`supervision`)
+        to :func:`~repro.engine.runtime.run_supervised` — the runtime every
+        pool fan-out goes through; the defaults give a plain ordered map
+        (one attempt per shard, the first worker exception raised as
+        itself).  None of them changes any result value —
         a retried shard re-executes the same spawned stream, so they are
         *not* part of the determinism key.  ``on_shard_failure="degrade"``
         opts campaigns into partial, provenance-flagged answers instead
@@ -77,9 +77,10 @@ class ExecutionPolicy:
     chaos: object | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in POLICY_MODES:
+        if self.mode not in EXECUTOR_MODES:
             raise InvalidConfigurationError(
-                f"unknown execution mode {self.mode!r}; expected one of {POLICY_MODES}"
+                f"unknown execution mode {self.mode!r}; "
+                f"expected one of {EXECUTOR_MODES}"
             )
         if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
             raise InvalidConfigurationError(
@@ -110,36 +111,18 @@ class ExecutionPolicy:
             )
         # Delegate timeout/retries/backoff validation to Supervision so the
         # policy and the runtime can never disagree on what's legal.
-        self._supervision()
+        self.supervision
 
-    def _supervision(self) -> Supervision:
+    @property
+    def supervision(self) -> Supervision:
+        """The runtime :class:`~repro.engine.runtime.Supervision` of this
+        policy — ``Supervision()`` when no knob is set."""
         return Supervision(
             timeout=self.timeout,
             retries=self.retries,
             backoff=self.backoff,
             on_shard_failure=self.on_shard_failure,
         )
-
-    @property
-    def supervised(self) -> bool:
-        """Whether this policy asks for the fault-tolerant runtime.
-
-        True when any supervision knob, the checkpoint directory or chaos
-        injection departs from the defaults; the bare dispatcher handles
-        everything else (and stays on the historical fast path).
-        """
-        return (
-            self.timeout is not None
-            or self.retries != 0
-            or self.on_shard_failure != "raise"
-            or self.checkpoint_dir is not None
-            or self.chaos is not None
-        )
-
-    @property
-    def supervision(self) -> Supervision | None:
-        """The runtime :class:`~repro.engine.runtime.Supervision`, if any."""
-        return self._supervision() if self.supervised else None
 
     @property
     def parallel(self) -> bool:

@@ -23,6 +23,7 @@ serializable — correlation structures are process-local objects.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -119,6 +120,24 @@ register_spec_codec(
 )
 
 
+def _check_spec_params(name: str, codec: SpecCodec, keys: Iterable[str]) -> None:
+    """Reject a parameter set that lacks an argument ``codec.build``
+    requires, naming the protocol and the missing parameters."""
+    parameters = inspect.signature(codec.build).parameters.values()
+    missing = [
+        parameter.name
+        for parameter in parameters
+        if parameter.default is parameter.empty
+        and parameter.kind not in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD)
+        and parameter.name not in keys
+    ]
+    if missing:
+        raise InvalidConfigurationError(
+            f"protocol {name!r} has no default for required parameter(s) "
+            f"{', '.join(missing)}; give them explicitly in a spec dict"
+        )
+
+
 def spec_to_dict(spec: ProtocolSpec) -> dict:
     """Serializable form of a registered protocol spec."""
     codec = _SPEC_CODECS_BY_TYPE.get(type(spec))
@@ -141,6 +160,7 @@ def spec_from_dict(data: Mapping) -> ProtocolSpec:
         raise InvalidConfigurationError(
             f"unknown protocol {name!r}; registered: {sorted(_SPEC_CODECS)}"
         )
+    _check_spec_params(name, codec, payload)
     return codec.build(**payload)
 
 
@@ -362,6 +382,7 @@ class ScenarioSet:
                 raise InvalidConfigurationError(
                     f"unknown protocol {name!r}; registered: {sorted(_SPEC_CODECS)}"
                 )
+            _check_spec_params(name, codec, ("n",))
             codecs.append((name, codec))
         for n in sizes:
             specs = [(name, codec.build(n)) for name, codec in codecs]

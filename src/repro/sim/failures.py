@@ -151,11 +151,3 @@ def plan_from_curves(
             if recover_time < duration:
                 recovery_times[node_id] = recover_time
     return InjectionPlan(crash_times=crash_times, recovery_times=recovery_times)
-
-
-def sample_window_config(fleet: Fleet, seed: SeedLike = None) -> FailureConfig:
-    """Draw a window failure configuration from a fleet (trinomial per node)."""
-    from repro.analysis.montecarlo import sample_configuration
-
-    rng = as_generator(seed)
-    return sample_configuration(fleet, rng)

@@ -15,6 +15,7 @@ import pytest
 from repro.analysis import analyze, analyze_batch
 from repro.analysis.result import Estimate, ReliabilityResult
 from repro.engine import (
+    ExecutionPolicy,
     ReliabilityEngine,
     Scenario,
     ScenarioSet,
@@ -357,6 +358,25 @@ class TestRegistry:
         )
         assert clean.result.method == "exact"
 
+    def test_override_error_surfaces_as_itself_under_thread_policy(self):
+        """A pooled override's own exception reaches the caller unwrapped."""
+
+        def broken(scenario):
+            raise EstimationError(f"no estimate for {scenario.label}")
+
+        engine = ReliabilityEngine(estimators={"exact": broken})
+        scenarios = [
+            Scenario(
+                spec=RaftSpec(3),
+                fleet=uniform_fleet(3, p),
+                method="exact",
+                label=f"s{index}",
+            )
+            for index, p in enumerate((0.01, 0.02, 0.03))
+        ]
+        with pytest.raises(EstimationError, match="no estimate for s"):
+            engine.run(scenarios, policy=ExecutionPolicy(mode="thread", jobs=2))
+
 
 class TestSerialization:
     @pytest.mark.parametrize(
@@ -434,6 +454,11 @@ class TestSerialization:
             assert scenario.fleet[0].p_byzantine == pytest.approx(0.02)
         # Shared fleets: both protocols ask about the same deployment.
         assert scenario_set[0].fleet == scenario_set[1].fleet
+
+    def test_grid_rejects_protocol_without_default_quorums(self):
+        with pytest.raises(InvalidConfigurationError, match="flexraft") as excinfo:
+            ScenarioSet.grid(["flexraft"], sizes=(5,))
+        assert "q_per" in str(excinfo.value) and "q_vc" in str(excinfo.value)
 
     def test_grid_json_rejects_unknown_fields(self):
         text = json.dumps({"grid": {"protocols": ["raft"], "probabilitys": [0.5]}})

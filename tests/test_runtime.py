@@ -40,7 +40,6 @@ from repro.engine import (
     SimulationQuery,
     Supervision,
     chaos_from_fault_plan,
-    dispatch,
     run_supervised,
 )
 from repro.errors import (
@@ -74,30 +73,32 @@ def _sleep_forever(payload):
 
 
 # ---------------------------------------------------------------------------
-# Bare dispatch (run_sharded fast path)
+# Dispatch under the default supervision (the path every fan-out takes)
 # ---------------------------------------------------------------------------
 class TestDispatch:
     def test_serial_thread_process_agree(self):
         payloads = list(range(7))
         expected = [p * p for p in payloads]
         for jobs, mode in ((1, "serial"), (3, "thread"), (2, "process")):
-            assert dispatch(_square, payloads, jobs=jobs, mode=mode) == expected
+            results, _ = run_supervised(_square, payloads, jobs=jobs, mode=mode)
+            assert results == expected
 
-    def test_run_sharded_delegates_to_dispatch(self):
+    def test_run_sharded_delegates_to_run_supervised(self):
         assert run_sharded(_square, [2, 3], jobs=2, mode="thread") == [4, 9]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidConfigurationError, match="executor mode"):
-            dispatch(_square, [1, 2], jobs=2, mode="greenlet")
+            run_supervised(_square, [1, 2], jobs=2, mode="greenlet")
 
     def test_thread_mode_raises_first_exception_not_first_submitted(self):
-        # Shard 0 fails *late*, shard 2 fails immediately.  The old
-        # pool.map iteration would surface shard 0's error (submission
-        # order); the fixed dispatcher surfaces the chronologically first
-        # failure so the root cause is never masked.
+        # Shard 0 fails *late*, shard 2 fails immediately.  A pool.map
+        # iteration would surface shard 0's error (submission order); the
+        # runtime surfaces the chronologically first failure, as itself
+        # (not wrapped in ShardExecutionError), so the root cause is never
+        # masked.
         payloads = [("boom", 0.4), ("ok", 0.0), ("boom", 0.0)]
         with pytest.raises(ValueError, match="boom after 0.0"):
-            dispatch(_slow_then_raise, payloads, jobs=3, mode="thread")
+            run_supervised(_slow_then_raise, payloads, jobs=3, mode="thread")
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +144,8 @@ class TestValidation:
             ExecutionPolicy(on_shard_failure="panic")
 
     def test_policy_supervision_property(self):
-        assert ExecutionPolicy().supervision is None
-        assert ExecutionPolicy(mode="thread", jobs=4).supervision is None
+        assert ExecutionPolicy().supervision == Supervision()
+        assert ExecutionPolicy(mode="thread", jobs=4).supervision == Supervision()
         sup = ExecutionPolicy(retries=2, timeout=3.0).supervision
         assert sup == Supervision(retries=2, timeout=3.0)
 
@@ -170,7 +171,7 @@ class TestSupervisedCleanRuns:
             mode=mode,
             supervision=Supervision(retries=2, timeout=20.0),
         )
-        assert results == dispatch(_square, payloads, jobs=jobs, mode=mode)
+        assert results == [_square(p) for p in payloads]
         assert report == RunReport(shards=5, completed=5, attempts=5)
         assert not report.degraded
 

@@ -104,6 +104,14 @@ class TestRouting:
         assert status == 400
         assert "no queries" in body["error"]
 
+    def test_grid_protocol_without_default_quorums_400(self, server):
+        payload = json.dumps(
+            {"grid": {"protocols": ["flexraft"], "sizes": [5], "probabilities": [0.01]}}
+        )
+        status, body = post(server.port, payload)
+        assert status == 400
+        assert "flexraft" in body["error"]
+
     def test_oversized_body_413(self):
         config = ServiceConfig(port=0, max_body_bytes=64)
         with BackgroundServer(config) as small:
