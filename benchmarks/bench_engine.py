@@ -5,7 +5,9 @@ symmetric protocol zoo) over shared cluster sizes, every protocol asked
 about the *same* mixed-fault deployment per grid cell — through
 :meth:`ReliabilityEngine.run` against two per-scenario alternatives:
 
-* the public ``analyze`` loop (what a consumer writes without the engine),
+* a per-scenario ``run_query`` loop on the default engine (what a
+  consumer writes without batching; its JSON keys keep the historical
+  ``analyze_loop`` names),
 * the raw scalar ``counting_reliability`` loop (the pre-engine dispatch).
 
 The engine plans one joint-count DP per *fleet* (shared across all
@@ -26,7 +28,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze
 from repro.analysis.counting import counting_reliability
 from repro.engine import ReliabilityEngine, ScenarioSet, default_engine
 
@@ -97,21 +98,22 @@ def measure_grid() -> dict:
     grid = build_grid()
     _warm(grid)
 
-    def analyze_loop():
-        default_engine().cache_clear()
-        return [analyze(s.spec, s.fleet) for s in grid]
+    def per_query_loop():
+        engine = default_engine()
+        engine.cache_clear()
+        return [engine.run_query(s).value for s in grid]
 
     def scalar_loop():
         return [counting_reliability(s.spec, s.fleet) for s in grid]
 
     def engine_run():
-        return ReliabilityEngine().run(grid).results
+        return ReliabilityEngine().run(grid).values
 
-    analyze_seconds, analyze_results = _best(analyze_loop)
+    per_query_seconds, per_query_results = _best(per_query_loop)
     scalar_seconds, scalar_results = _best(scalar_loop)
     engine_seconds, engine_results = _best(engine_run)
 
-    assert engine_results == analyze_results == scalar_results, (
+    assert engine_results == per_query_results == scalar_results, (
         "engine results must be bit-identical to the per-scenario loops"
     )
 
@@ -121,7 +123,7 @@ def measure_grid() -> dict:
     start = time.perf_counter()
     cached = engine.run(grid)
     cached_seconds = time.perf_counter() - start
-    assert cached.results == engine_results
+    assert cached.values == engine_results
     assert cached.cache_hits == len(grid)
 
     return {
@@ -130,13 +132,13 @@ def measure_grid() -> dict:
         "sizes": list(SIZES),
         "probabilities": len(PROBABILITIES),
         "shared_fleets": True,
-        "analyze_loop_seconds": analyze_seconds,
-        "analyze_loop_scenarios_per_sec": len(grid) / analyze_seconds,
+        "analyze_loop_seconds": per_query_seconds,
+        "analyze_loop_scenarios_per_sec": len(grid) / per_query_seconds,
         "scalar_loop_seconds": scalar_seconds,
         "scalar_loop_scenarios_per_sec": len(grid) / scalar_seconds,
         "engine_seconds": engine_seconds,
         "engine_scenarios_per_sec": len(grid) / engine_seconds,
-        "speedup_vs_analyze_loop": analyze_seconds / engine_seconds,
+        "speedup_vs_analyze_loop": per_query_seconds / engine_seconds,
         "speedup_vs_scalar_loop": scalar_seconds / engine_seconds,
         "cached_rerun_seconds": cached_seconds,
         "cached_rerun_scenarios_per_sec": len(grid) / cached_seconds,
@@ -160,16 +162,16 @@ def test_engine_grid_speedup():
         f"E1: {result['scenarios']}-scenario grid, protocol zoo, sizes {SIZES}",
         ["path", "scenarios/sec"],
         [
-            ["analyze() loop", f"{result['analyze_loop_scenarios_per_sec']:,.0f}"],
+            ["run_query loop", f"{result['analyze_loop_scenarios_per_sec']:,.0f}"],
             ["scalar counting loop", f"{result['scalar_loop_scenarios_per_sec']:,.0f}"],
             ["engine batched run", f"{result['engine_scenarios_per_sec']:,.0f}"],
             ["engine cached rerun", f"{result['cached_rerun_scenarios_per_sec']:,.0f}"],
-            ["speedup vs analyze", f"{result['speedup_vs_analyze_loop']:.1f}x"],
+            ["speedup vs run_query", f"{result['speedup_vs_analyze_loop']:.1f}x"],
             ["speedup vs scalar", f"{result['speedup_vs_scalar_loop']:.1f}x"],
         ],
     )
     assert result["speedup_vs_analyze_loop"] >= 5.0, (
-        f"engine only {result['speedup_vs_analyze_loop']:.1f}x over the analyze loop"
+        f"engine only {result['speedup_vs_analyze_loop']:.1f}x over the run_query loop"
     )
 
 

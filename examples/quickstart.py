@@ -5,7 +5,8 @@ Reproduces the paper's headline numbers in a dozen lines, using the
 Scenario/Engine front door: every reliability question is a `Scenario`,
 batches of questions are a `ScenarioSet`, and the `ReliabilityEngine`
 picks estimators, shares DP sweeps across same-size scenarios, and caches
-repeated questions.
+repeated questions.  Every engine run returns an `AnswerSet`: one `Answer`
+per question, carrying its `value` and its `provenance`.
 
 Run:  python examples/quickstart.py
 """
@@ -29,7 +30,7 @@ def main() -> None:
 
     # -- 1. "Raft with N=3 is only 3 nines safe and live" (§1) ----------
     question = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, p_fail=0.01))
-    result = engine.run_one(question).result
+    result = engine.run_query(question).value
     print("3-node Raft, 1% node failure probability:")
     print(f"  safe:          {format_probability(result.safe.value)}")
     print(f"  live:          {format_probability(result.live.value)}")
@@ -37,9 +38,9 @@ def main() -> None:
           f"  ({nines(result.safe_and_live.value):.2f} nines)")
 
     # -- 2. Nine flaky nodes buy the same guarantee (§3) ----------------
-    cheap = engine.run_one(
+    cheap = engine.run_query(
         Scenario(spec=RaftSpec(9), fleet=uniform_fleet(9, p_fail=0.08))
-    ).result
+    ).value
     print("\n9-node Raft on 8%-failure spot instances:")
     print(f"  safe & live:   {format_probability(cheap.safe_and_live.value)}")
     print("  -> same nines; at 10x cheaper nodes this is a ~3.3x cost cut")
@@ -51,10 +52,10 @@ def main() -> None:
         for n in (4, 5, 7)
     )
     print("\nPBFT at p=1% (every failure Byzantine):")
-    for outcome in engine.run(sweep):
-        r = outcome.result
+    for answer in engine.run(sweep):
+        r = answer.value
         print(
-            f"  {outcome.scenario.label}: safe {format_probability(r.safe.value):>12}  "
+            f"  {answer.query.label}: safe {format_probability(r.safe.value):>12}  "
             f"live {format_probability(r.live.value):>9}"
         )
     print("  -> 5 nodes are dramatically safer than 4, and safer than 7")
@@ -79,12 +80,12 @@ def main() -> None:
     )
     policy = ExecutionPolicy(mode="thread", jobs=2)
     print("\n25-node Raft under sampled failures, sharded across 2 workers:")
-    for outcome in engine.run(big, policy=policy):
-        r = outcome.result
+    for answer in engine.run(big, policy=policy):
+        r = answer.value
         print(
-            f"  {outcome.scenario.label}: safe&live "
+            f"  {answer.query.label}: safe&live "
             f"{format_probability(r.safe_and_live.value)}  "
-            f"[{outcome.provenance.describe()}]"
+            f"[{answer.provenance.describe()}]"
         )
     print("  -> worker count never changes the numbers, only the wall-clock")
 

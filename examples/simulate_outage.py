@@ -37,8 +37,8 @@ def analytical_comparison() -> None:
     fleet = uniform_fleet(N, P_FAIL)
     spec = RaftSpec(N)
     engine = default_engine()
-    independent = engine.run_one(Scenario(spec=spec, fleet=fleet)).result
-    correlated = engine.run_one(
+    independent = engine.run_query(Scenario(spec=spec, fleet=fleet)).value
+    correlated = engine.run_query(
         Scenario(
             spec=spec,
             fleet=fleet,
@@ -46,7 +46,7 @@ def analytical_comparison() -> None:
             trials=200_000,
             seed=7,
         )
-    ).result
+    ).value
     print("analytical view (5-node Raft, 5% node failures):")
     print(f"  independent faults:   S&L {format_probability(independent.safe_and_live.value)}")
     print(f"  + rack-0 PDU shock:   S&L {format_probability(correlated.safe_and_live.value)}"

@@ -11,27 +11,23 @@ attacks through seeded simulation campaigns.
 Quickstart
 ----------
 The front door is the Scenario/Engine API: describe each reliability
-question as a :class:`Scenario`, submit batches as a :class:`ScenarioSet`,
-and let the :class:`ReliabilityEngine` pick estimators, share DP sweeps
-and cache repeats:
+question as a :class:`Scenario`, submit batches as a :class:`ScenarioSet`
+or :class:`QuerySet`, and let the :class:`ReliabilityEngine` pick
+estimators, share DP sweeps and cache repeats.  Every run returns an
+:class:`AnswerSet`:
 
->>> from repro import RaftSpec, Scenario, default_engine, uniform_fleet
+>>> from repro import RaftSpec, Scenario, ScenarioSet, default_engine, uniform_fleet
 >>> scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
->>> round(default_engine().run_one(scenario).result.safe_and_live.value, 6)
+>>> round(default_engine().run_query(scenario).value.safe_and_live.value, 6)
 0.999702
-
-The classic one-shot helper is a shim over the same engine:
-
->>> from repro import analyze
->>> result = analyze(RaftSpec(3), uniform_fleet(3, 0.01))
->>> round(result.safe_and_live.value, 6)
-0.999702
+>>> grid = ScenarioSet.grid(protocols=("raft",), sizes=(3, 5), probabilities=(0.01,))
+>>> [round(r.safe_and_live.value, 6) for r in default_engine().run(grid).values]
+[0.999702, 0.99999]
 """
 
 from repro.engine import (
     AnswerSet,
     AvailabilityQuery,
-    EngineResult,
     MTTFQuery,
     QuerySet,
     ReliabilityEngine,
@@ -48,7 +44,6 @@ from repro.analysis import (
     FailureConfig,
     FaultKind,
     ReliabilityResult,
-    analyze,
     counting_reliability,
     exact_reliability,
     format_probability,
@@ -89,13 +84,11 @@ __all__ = [
     "MTTFQuery",
     "SimulationQuery",
     "ReliabilityEngine",
-    "EngineResult",
     "AnswerSet",
     "default_engine",
     "register_estimator",
     "register_backend",
     # analysis
-    "analyze",
     "counting_reliability",
     "exact_reliability",
     "monte_carlo_reliability",

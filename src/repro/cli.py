@@ -60,7 +60,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.analysis import analyze, analyze_batch, format_probability
+from repro.analysis import format_probability
 from repro.faults.mixture import byzantine_fleet, uniform_fleet
 from repro.protocols.pbft import PBFTSpec
 from repro.protocols.raft import RaftSpec
@@ -117,10 +117,10 @@ def _cmd_raft(args: argparse.Namespace) -> int:
     from repro.engine import Scenario, default_engine
 
     spec = RaftSpec(args.n, q_per=args.q_per, q_vc=args.q_vc)
-    result = default_engine().run_one(
+    result = default_engine().run_query(
         Scenario(spec=spec, fleet=uniform_fleet(args.n, args.p)),
         policy=_policy_from_args(args),
-    ).result
+    ).value
     _print_table(
         ["N", "|Qper|", "|Qvc|", "Safe %", "Live %", "Safe and Live %"],
         [[
@@ -139,10 +139,10 @@ def _cmd_pbft(args: argparse.Namespace) -> int:
     from repro.engine import Scenario, default_engine
 
     spec = PBFTSpec(args.n)
-    result = default_engine().run_one(
+    result = default_engine().run_query(
         Scenario(spec=spec, fleet=byzantine_fleet(args.n, args.p)),
         policy=_policy_from_args(args),
-    ).result
+    ).value
     _print_table(
         ["N", "|Qeq|", "|Qper|", "|Qvc|", "|Qvc_t|", "Safe %", "Live %", "Safe and Live %"],
         [[
@@ -160,10 +160,14 @@ def _cmd_pbft(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(_args: argparse.Namespace) -> int:
+    from repro.engine import Scenario, default_engine
+
     rows = []
     for n in (4, 5, 7, 8):
         spec = PBFTSpec(n)
-        result = analyze(spec, byzantine_fleet(n, 0.01))
+        result = default_engine().run_query(
+            Scenario(spec=spec, fleet=byzantine_fleet(n, 0.01))
+        ).value
         rows.append(
             [
                 str(n),
@@ -184,13 +188,17 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(_args: argparse.Namespace) -> int:
+    from repro.engine import Scenario, default_engine
+
     probabilities = (0.01, 0.02, 0.04, 0.08)
     rows = []
     for n in (3, 5, 7, 9):
         spec = RaftSpec(n)
         cells = [str(n), str(spec.q_per), str(spec.q_vc)]
         # One batched counting-DP sweep per row instead of a fleet at a time.
-        results = analyze_batch(spec, [uniform_fleet(n, p) for p in probabilities])
+        results = default_engine().run(
+            [Scenario(spec=spec, fleet=uniform_fleet(n, p)) for p in probabilities]
+        ).values
         cells.extend(format_probability(r.safe_and_live.value) for r in results)
         rows.append(cells)
     print("Table 2: Raft reliability for uniform node failure p_u")
@@ -244,7 +252,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     results = default_engine().run(
         [Scenario(spec=spec, fleet=fleet) for fleet in fleets],
         policy=_policy_from_args(args),
-    ).results
+    ).values
     rows = [
         [
             f"{p:.4f}",
@@ -276,40 +284,40 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         raise SystemExit(f"invalid scenario file {path}: {exc}")
     if not len(scenario_set):
         raise SystemExit(f"scenario file {path} contains no scenarios")
-    engine_result = default_engine().run(scenario_set, policy=_policy_from_args(args))
+    answers = default_engine().run(scenario_set, policy=_policy_from_args(args))
     if args.json:
         payload = [
             {
-                "label": outcome.scenario.label,
-                "protocol": outcome.result.protocol,
-                "n": outcome.result.n,
-                "method": outcome.result.method,
-                "safe": outcome.result.safe.value,
-                "live": outcome.result.live.value,
-                "safe_and_live": outcome.result.safe_and_live.value,
-                "estimator": outcome.provenance.estimator,
-                "cache_hit": outcome.provenance.cache_hit,
-                "batched": outcome.provenance.batched,
+                "label": answer.query.label,
+                "protocol": answer.value.protocol,
+                "n": answer.value.n,
+                "method": answer.value.method,
+                "safe": answer.value.safe.value,
+                "live": answer.value.live.value,
+                "safe_and_live": answer.value.safe_and_live.value,
+                "estimator": answer.provenance.estimator,
+                "cache_hit": answer.provenance.cache_hit,
+                "batched": answer.provenance.batched,
             }
-            for outcome in engine_result
+            for answer in answers
         ]
         print(json.dumps(payload, indent=2))
         return 0
     rows = [
         [
-            row["label"],
-            row["protocol"],
-            row["N"],
-            row["Safe %"],
-            row["Live %"],
-            row["Safe and Live %"],
-            row["via"],
+            answer.query.label or f"{answer.value.protocol}/n={answer.value.n}",
+            answer.value.protocol,
+            str(answer.value.n),
+            format_probability(answer.value.safe.value),
+            format_probability(answer.value.live.value),
+            format_probability(answer.value.safe_and_live.value),
+            answer.provenance.describe(),
         ]
-        for row in engine_result.table()
+        for answer in answers
     ]
     print(
-        f"Scenarios: {len(engine_result)} run through the engine "
-        f"({engine_result.cache_hits} cache hits)"
+        f"Scenarios: {len(answers)} run through the engine "
+        f"({answers.cache_hits} cache hits)"
     )
     _print_table(
         ["scenario", "protocol", "N", "Safe %", "Live %", "Safe and Live %", "via"],

@@ -518,7 +518,7 @@ _BLOCKING_IO_METHODS = frozenset(
 
 #: Engine entry points: a direct call runs a full batch computation on
 #: the event loop thread.
-_ENGINE_RUN_METHODS = frozenset({"run", "run_query", "run_queries"})
+_ENGINE_RUN_METHODS = frozenset({"run", "run_query"})
 
 _TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
 

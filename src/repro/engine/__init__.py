@@ -6,33 +6,36 @@ scenarios.  This package makes the *scenario* the first-class object:
 
 >>> from repro.engine import Scenario, ScenarioSet, default_engine
 >>> from repro import RaftSpec, uniform_fleet
->>> outcome = default_engine().run_one(
+>>> answer = default_engine().run_query(
 ...     Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01)))
->>> round(outcome.result.safe_and_live.value, 6)
+>>> round(answer.value.safe_and_live.value, 6)
 0.999702
+>>> answer.provenance.describe()
+'reliability:counting/solo'
 
 Sweeps submit a :class:`ScenarioSet` — built by hand, from the
 :meth:`ScenarioSet.grid` builder, or from a JSON scenario file — and the
 :class:`ReliabilityEngine` plans the execution: shared counting-DP sweeps
 for same-size symmetric scenarios, a bounded memo cache for repeated
 questions, and the pluggable estimator registry for everything else.
-Every consumer in this repository (``analyze``/``analyze_batch``, the
-planner, committee search, horizon sweeps, the CLI) now routes through
-here, so batch execution is the default path, not something each caller
-reinvents.
+Every consumer in this repository (the planner, committee search,
+horizon sweeps, the CLI, the query daemon) routes through here, so batch
+execution is the default path, not something each caller reinvents.
 
-Beyond point reliability, the engine answers *time-domain* questions
-through the same front door: a :class:`Query` couples a scenario with a
-question kind (:class:`ReliabilityQuery`, :class:`AvailabilityQuery`,
+:meth:`ReliabilityEngine.run` has one result shape for every input: a
+typed :class:`AnswerSet` whose :class:`Provenance` records backend,
+estimator, batch and shard counts.  A bare :class:`Scenario` (or a whole
+:class:`ScenarioSet`) is a reliability question.  Beyond point
+reliability, the engine answers *time-domain* questions through the same
+front door: a :class:`Query` couples a scenario with a question kind
+(:class:`ReliabilityQuery`, :class:`AvailabilityQuery`,
 :class:`MTTFQuery`, :class:`SimulationQuery`) and a mixed
 :class:`QuerySet` routes each row to the backend registered for its kind
 (:func:`register_backend`), batching same-chain CTMC solves and fanning
 simulation replicas across the :class:`ExecutionPolicy` pool.
 :class:`SimulationQuery` campaigns accept a declarative
 :class:`repro.injection.FaultPlan` (``faults=``) describing outages,
-partitions, bursts and Byzantine adversary mixes.  Answers come back as a
-typed :class:`AnswerSet` whose :class:`Provenance` records backend, batch
-and shard counts.
+partitions, bursts and Byzantine adversary mixes.
 
 Every pool fan-out goes through :func:`repro.engine.runtime.run_supervised`,
 and campaign execution is fault-tolerant: an :class:`ExecutionPolicy`'s
@@ -82,10 +85,8 @@ from repro.engine.result import (
     Answer,
     AnswerSet,
     AvailabilityAnswer,
-    EngineResult,
     MTTFAnswer,
     Provenance,
-    ScenarioOutcome,
     SimulationAnswer,
 )
 from repro.engine.backends import register_simulation_factory
@@ -117,8 +118,6 @@ __all__ = [
     "ShardFault",
     "ChaosInjectedError",
     "chaos_from_fault_plan",
-    "EngineResult",
-    "ScenarioOutcome",
     "Answer",
     "AnswerSet",
     "AvailabilityAnswer",

@@ -1,13 +1,11 @@
-"""Built-in query backends: reliability, availability, MTTF, simulation.
+"""Built-in query backends: availability, MTTF, simulation.
 
 Each backend answers one same-kind batch of queries from a single
-:meth:`~repro.engine.ReliabilityEngine.run` call:
+:meth:`~repro.engine.ReliabilityEngine.run` call.  The fourth built-in,
+``reliability``, is the engine's own scenario planner (shared
+counting-DP sweeps, LRU memo, policy fan-out, spawned-stream sharding);
+it lives next to the memo it guards in :mod:`repro.engine.engine`.
 
-``reliability``
-    Delegates the scenarios back to the engine's scenario planner, so the
-    whole PR 2/3 machinery (shared counting-DP sweeps, LRU memo, policy
-    fan-out, spawned-stream sharding) applies unchanged; the resulting
-    outcomes are re-wrapped as :class:`~repro.engine.result.Answer`\\ s.
 ``availability`` / ``mttf``
     CTMC questions batched *per chain*: queries whose
     :meth:`~repro.engine.query._MarkovQuery.chain_key` matches share one
@@ -74,28 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import ReliabilityEngine
     from repro.engine.execution import ExecutionPolicy
     from repro.protocols.base import ProtocolSpec
-
-
-# ---------------------------------------------------------------------------
-# Reliability: delegate to the scenario planner
-# ---------------------------------------------------------------------------
-@register_backend("reliability")
-def reliability_backend(
-    engine: "ReliabilityEngine",
-    queries: Sequence[Query],
-    policy: "ExecutionPolicy",
-) -> list[Answer]:
-    from dataclasses import replace
-
-    outcomes = engine.run([query.scenario for query in queries], policy=policy)
-    return [
-        Answer(
-            query=query,
-            value=outcome.result,
-            provenance=replace(outcome.provenance, backend="reliability"),
-        )
-        for query, outcome in zip(queries, outcomes)
-    ]
 
 
 # ---------------------------------------------------------------------------

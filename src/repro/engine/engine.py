@@ -3,7 +3,11 @@
 Consumers used to wire the estimators together by hand — the planner
 looped ``counting_reliability`` over candidate plans, the horizon module
 looped windows, the CLI looped table cells.  The engine replaces those
-loops with a planner of its own: submit a :class:`ScenarioSet` and it
+loops with a planner of its own.  :meth:`ReliabilityEngine.run` takes a
+:class:`~repro.engine.QuerySet` (or a :class:`ScenarioSet`, or any
+iterable of queries and bare scenarios) and always returns an
+:class:`~repro.engine.AnswerSet`; each query kind goes to its registered
+backend.  The ``reliability`` backend is the scenario planner below, which
 
 1. **deduplicates** — identical (spec, fleet, estimator) questions are
    answered once, both within a run and across runs via a bounded
@@ -40,17 +44,18 @@ from repro.engine.registry import (
     estimate_under_policy,
     get_backend,
     get_estimator,
+    register_backend,
 )
-from repro.engine.result import AnswerSet, EngineResult, Provenance, ScenarioOutcome
+from repro.engine.result import Answer, AnswerSet, Provenance
 from repro.engine.scenario import Scenario, ScenarioSet
 from repro.obs.trace import current_span, current_tracer
 
-# Importing the backends module registers the built-in query backends
-# (reliability / availability / mttf / simulation) with the registry.
+# Importing the backends module registers the built-in availability /
+# mttf / simulation backends; ``reliability`` is registered below.
 import repro.engine.backends  # noqa: F401  (import-for-effect)
 
 #: Above this configuration count, auto selection stops considering
-#: enumeration (mirrors the historical ``analyze`` threshold).
+#: enumeration.
 EXACT_BUDGET = 1 << 20
 
 #: Cap on floats materialised per batched-DP chunk (~32 MB of float64).
@@ -58,7 +63,8 @@ _BATCH_CHUNK_FLOATS = 1 << 22
 
 
 def _resolve_method(scenario: Scenario) -> str:
-    """Auto estimator selection — the exact policy ``analyze`` always used."""
+    """Auto estimator selection: counting DP for symmetric specs, enumeration
+    for small asymmetric fleets, Monte-Carlo otherwise."""
     if scenario.method != "auto":
         return scenario.method
     if scenario.correlation is not None:
@@ -169,92 +175,96 @@ class ReliabilityEngine:
         """Public memo insert for query backends (bounded, LRU eviction)."""
         self._cache_put(key, value)
 
-    def _cache_get(self, key: tuple | None) -> ReliabilityResult | None:
-        if key is None or self._cache_size == 0:
-            return None
-        with self._lock:
-            result = self._memo.get(key)
-            if result is not None:
-                self._memo.move_to_end(key)
-        return result
-
     def _cache_put(self, key: tuple | None, result: ReliabilityResult) -> None:
         if key is None or self._cache_size == 0:
             return
-        # Fresh keys land at the end (insertion order); _cache_get already
-        # refreshes recency on hits, so no extra move is needed here.
+        # Fresh keys land at the end (insertion order); lookups refresh
+        # recency on hits, so no extra move is needed here.
         with self._lock:
             self._memo[key] = result
             while len(self._memo) > self._cache_size:
                 self._memo.popitem(last=False)
 
     # -- execution ---------------------------------------------------------
-    def run_one(
-        self, scenario: Scenario, policy: ExecutionPolicy | None = None
-    ) -> ScenarioOutcome:
-        """Answer a single scenario (cache-aware, no batching)."""
-        return self.run([scenario], policy=policy)[0]
-
-    def run_query(self, query: Query, policy: ExecutionPolicy | None = None):
-        """Answer a single query (cache-aware, no cross-query batching)."""
-        return self.run([query], policy=policy)[0]
+    def run_query(
+        self, item: Query | Scenario, policy: ExecutionPolicy | None = None
+    ) -> Answer:
+        """Answer a single query or bare scenario (cache-aware, no batching)."""
+        return self.run([item], policy=policy)[0]
 
     def run(
         self,
-        scenarios: QuerySet | ScenarioSet | Iterable[Query | Scenario],
+        items: QuerySet | ScenarioSet | Iterable[Query | Scenario],
         policy: ExecutionPolicy | None = None,
-    ) -> EngineResult | AnswerSet:
-        """Plan and execute a whole scenario or query set.
+    ) -> AnswerSet:
+        """Plan and execute a whole query or scenario set.
 
-        A :class:`~repro.engine.QuerySet` (or any iterable containing
-        :class:`~repro.engine.query.Query` objects; bare scenarios mixed
-        in default to ``ReliabilityQuery``) routes each row to its kind's
-        backend and returns an :class:`~repro.engine.AnswerSet` — see
-        :meth:`_run_queries`.  A bare :class:`ScenarioSet` takes the
-        historical scenario path below, bit-identical to every release
-        since PR 2.
-
-        Outcomes come back in submission order.  Counting scenarios are
-        grouped by fleet size into shared DP sweeps over the *unique*
-        fleets of each group; every other scenario runs through its
-        estimator individually.  Identical questions — within the set or
-        remembered from earlier runs — are answered from cache.
+        Every row becomes a :class:`~repro.engine.query.Query` (a bare
+        :class:`Scenario` is a ``ReliabilityQuery``).  Queries are grouped
+        by kind (submission order preserved within each group) and each
+        group is handed to the backend registered for that kind —
+        per-engine overrides first, then the global registry.  Backends
+        batch internally (the ``reliability`` planner's shared DP sweeps
+        and memo, shared CTMC solves, sharded replica fan-out) and answers
+        come back in submission order.
 
         ``policy`` (default: the engine's constructor policy, itself
         defaulting to serial) picks the executor: a thread or process
         policy fans independent scenarios across workers, sweeps counting
         DP chunks concurrently, and switches the built-in sampling
-        estimators to spawned-stream sharding.  Result values depend only
-        on the scenarios and the policy's ``shard_trials`` — never on the
+        estimators to spawned-stream sharding.  Answer values depend only
+        on the queries and the policy's ``shard_trials`` — never on the
         worker count or executor mode — and the serial policy is
         byte-identical to the pre-policy engine.
         """
-        if isinstance(scenarios, QuerySet):
-            return self._run_queries(list(scenarios), policy)
-        scenarios = list(scenarios)
-        if any(isinstance(item, Query) for item in scenarios):
-            return self._run_queries(scenarios, policy)
+        from repro.errors import EstimationError
+
         active = policy if policy is not None else self._policy
+        queries = [coerce_query(item) for item in items]
+        answers: list = [None] * len(queries)
+        by_kind: dict[str, list[int]] = {}
+        for index, query in enumerate(queries):
+            by_kind.setdefault(query.kind, []).append(index)
         tracer = current_tracer()
         with tracer.span(
-            "engine.run", scenarios=len(scenarios), mode=active.mode, jobs=active.jobs
+            "engine.run",
+            queries=len(queries),
+            kinds=len(by_kind),
+            mode=active.mode,
+            jobs=active.jobs,
         ) as run_span:
-            result = self._run_scenarios(scenarios, active)
+            for kind, indices in by_kind.items():
+                backend = self.backend(kind)
+                with tracer.span(f"backend.{kind}", queries=len(indices)):
+                    group = backend(self, [queries[i] for i in indices], active)
+                if len(group) != len(indices):
+                    raise EstimationError(
+                        f"backend for {kind!r} returned {len(group)} answers "
+                        f"for {len(indices)} queries"
+                    )
+                for index, answer in zip(indices, group):
+                    answers[index] = answer
             if tracer.enabled:
-                hits = sum(1 for outcome in result if outcome.provenance.cache_hit)
+                hits = sum(1 for answer in answers if answer.provenance.cache_hit)
                 run_span.set("memo_hits", hits)
-                run_span.set("memo_misses", len(result) - hits)
-            return result
+                run_span.set("memo_misses", len(answers) - hits)
+        return AnswerSet(tuple(answers))
 
-    def _run_scenarios(
-        self, scenarios: list, active: ExecutionPolicy
-    ) -> EngineResult:
-        """Scenario-path planner body (contract documented on :meth:`run`)."""
+    def _plan_reliability(
+        self, queries: Sequence[Query], active: ExecutionPolicy
+    ) -> list[Answer]:
+        """The scenario planner: body of the ``reliability`` backend.
+
+        Counting scenarios are grouped by fleet size into shared DP sweeps
+        over the *unique* fleets of each group; every other scenario runs
+        through its estimator individually.  Identical questions — within
+        the batch or remembered from earlier runs — are answered from the
+        memo with ``cache_hit`` provenance.
+        """
         spawned = active.spawned_streams
-        items = list(scenarios)
-        outcomes: list[ScenarioOutcome | None] = [None] * len(items)
-        groups: dict[int, list[tuple[int, Scenario, tuple | None, tuple]]] = {}
-        singles: list[tuple[int, Scenario, str, EstimatorFn, tuple | None]] = []
+        answers: list[Answer | None] = [None] * len(queries)
+        groups: dict[int, list[tuple[int, Query, tuple | None, tuple]]] = {}
+        singles: list[tuple[int, Query, str, EstimatorFn, tuple | None]] = []
         inflight: dict[tuple, int] = {}
         aliases: list[tuple[int, int]] = []  # (duplicate index, first index)
         use_memo = self._cache_size > 0
@@ -262,7 +272,8 @@ class ReliabilityEngine:
         # Hot loop: the per-scenario planning below inlines
         # Scenario.cache_key / the auto-method policy to keep facade
         # overhead a small fraction of even the cheapest estimation.
-        for index, scenario in enumerate(items):
+        for index, query in enumerate(queries):
+            scenario = query.scenario
             spec = scenario.spec
             correlation = scenario.correlation
             method = scenario.method
@@ -309,10 +320,12 @@ class ReliabilityEngine:
                             self._memo.move_to_end(key)
                             self.cache_hits += 1
                     if cached is not None:
-                        outcomes[index] = ScenarioOutcome(
-                            scenario,
+                        answers[index] = Answer(
+                            query,
                             cached,
-                            Provenance(estimator=method, cache_hit=True),
+                            Provenance(
+                                estimator=method, cache_hit=True, backend="reliability"
+                            ),
                         )
                         continue
                 if key is not None:
@@ -335,101 +348,53 @@ class ReliabilityEngine:
                 and fleet.n == spec.n
                 and spec.symmetric
             ):
-                groups.setdefault(fleet.n, []).append(
-                    (index, scenario, key, fleet_key)
-                )
+                groups.setdefault(fleet.n, []).append((index, query, key, fleet_key))
             else:
-                singles.append((index, scenario, method, estimator_fn, key))
+                singles.append((index, query, method, estimator_fn, key))
 
         for group in groups.values():
             if len(group) == 1:
-                index, scenario, key, _ = group[0]
-                singles.append((index, scenario, "counting", BUILTIN_COUNTING, key))
+                index, query, key, _ = group[0]
+                singles.append((index, query, "counting", BUILTIN_COUNTING, key))
             else:
-                self._run_counting_group(group, outcomes, active)
+                self._run_counting_group(group, answers, active)
 
         if active.parallel and len(singles) > 1:
-            self._run_singles_parallel(singles, outcomes, active)
+            self._run_singles_parallel(singles, answers, active)
         else:
-            for index, scenario, method, estimator_fn, key in singles:
-                start = time.perf_counter()
-                result, shards = estimate_under_policy(estimator_fn, scenario, active)
-                seconds = time.perf_counter() - start
-                self._cache_put(key, result)
-                outcomes[index] = ScenarioOutcome(
-                    scenario,
-                    result,
-                    Provenance(estimator=method, seconds=seconds, shards=shards),
-                )
+            self._run_singles_locally(singles, answers, active)
 
         for index, first in aliases:
-            source = outcomes[first]
+            source = answers[first]
             assert source is not None
-            outcomes[index] = ScenarioOutcome(
-                items[index],
-                source.result,
+            answers[index] = Answer(
+                queries[index],
+                source.value,
                 Provenance(
                     estimator=source.provenance.estimator,
                     cache_hit=True,
                     batched=source.provenance.batched,
                     batch_size=source.provenance.batch_size,
+                    backend="reliability",
                 ),
             )
             with self._lock:
                 self.cache_hits += 1
 
-        assert all(outcome is not None for outcome in outcomes)
-        return EngineResult(tuple(outcomes))  # type: ignore[arg-type]
-
-    def _run_queries(
-        self,
-        items: Sequence[Query | Scenario],
-        policy: ExecutionPolicy | None,
-    ) -> AnswerSet:
-        """Route a mixed-kind query batch to its backends.
-
-        Queries are grouped by kind (submission order preserved within
-        each group) and each group is handed to the backend registered
-        for that kind — per-engine overrides first, then the global
-        registry.  Backends batch internally (shared DP sweeps, shared
-        CTMC solves, sharded replica fan-out) and answers are scattered
-        back into submission order.
-        """
-        from repro.errors import EstimationError
-
-        active = policy if policy is not None else self._policy
-        queries = [coerce_query(item) for item in items]
-        answers: list = [None] * len(queries)
-        by_kind: dict[str, list[int]] = {}
-        for index, query in enumerate(queries):
-            by_kind.setdefault(query.kind, []).append(index)
-        tracer = current_tracer()
-        with tracer.span("engine.queries", queries=len(queries), kinds=len(by_kind)):
-            for kind, indices in by_kind.items():
-                backend = self.backend(kind)
-                with tracer.span(f"backend.{kind}", queries=len(indices)):
-                    group = backend(self, [queries[i] for i in indices], active)
-                if len(group) != len(indices):
-                    raise EstimationError(
-                        f"backend for {kind!r} returned {len(group)} answers "
-                        f"for {len(indices)} queries"
-                    )
-                for index, answer in zip(indices, group):
-                    answers[index] = answer
         assert all(answer is not None for answer in answers)
-        return AnswerSet(tuple(answers))
+        return answers  # type: ignore[return-value]
 
     def _run_singles_parallel(
         self,
-        singles: Sequence[tuple[int, Scenario, str, EstimatorFn, tuple | None]],
-        outcomes: list[ScenarioOutcome | None],
+        singles: Sequence[tuple[int, Query, str, EstimatorFn, tuple | None]],
+        answers: list[Answer | None],
         policy: ExecutionPolicy,
     ) -> None:
         """Fan independent single-estimator scenarios across the policy pool.
 
         Each scenario is computed exactly as it would be alone (its sampling
         streams are spawned per scenario), so values are identical at any
-        worker count.  Cache writes and outcome assembly stay in the calling
+        worker count.  Cache writes and answer assembly stay in the calling
         thread, in submission order — the LRU's recency order is therefore
         deterministic too.  Scenarios a pool cannot execute faithfully run
         in the calling thread instead: generator-object seeds (stateful —
@@ -443,10 +408,11 @@ class ReliabilityEngine:
         from repro.analysis.kernels import run_sharded
         from repro.engine.registry import is_stock_estimator
 
-        pool_items: list[tuple[int, Scenario, str, EstimatorFn, tuple | None]] = []
-        local_items: list[tuple[int, Scenario, str, EstimatorFn, tuple | None]] = []
+        pool_items: list[tuple[int, Query, str, EstimatorFn, tuple | None]] = []
+        local_items: list[tuple[int, Query, str, EstimatorFn, tuple | None]] = []
         for entry in singles:
-            _, scenario, method, estimator_fn, _ = entry
+            _, query, method, estimator_fn, _ = entry
+            scenario = query.scenario
             if isinstance(scenario.seed, np.random.Generator):
                 local_items.append(entry)
             elif policy.mode == "process" and (
@@ -465,36 +431,55 @@ class ReliabilityEngine:
             pool_items = []
         elif pool_items:
             payloads = [
-                (scenario, estimator_fn, policy)
-                for _, scenario, _, estimator_fn, _ in pool_items
+                (query.scenario, estimator_fn, policy)
+                for _, query, _, estimator_fn, _ in pool_items
             ]
             completed = run_sharded(
                 _run_single_in_worker, payloads, jobs=policy.jobs, mode=policy.mode
             )
 
         for entry, (result, shards, seconds) in zip(pool_items, completed):
-            index, scenario, method, _, key = entry
+            index, query, method, _, key = entry
             self._cache_put(key, result)
-            outcomes[index] = ScenarioOutcome(
-                scenario,
+            answers[index] = Answer(
+                query,
                 result,
-                Provenance(estimator=method, seconds=seconds, shards=shards),
+                Provenance(
+                    estimator=method,
+                    seconds=seconds,
+                    shards=shards,
+                    backend="reliability",
+                ),
             )
-        for index, scenario, method, estimator_fn, key in local_items:
+        self._run_singles_locally(local_items, answers, policy)
+
+    def _run_singles_locally(
+        self,
+        singles: Sequence[tuple[int, Query, str, EstimatorFn, tuple | None]],
+        answers: list[Answer | None],
+        policy: ExecutionPolicy,
+    ) -> None:
+        """Single-estimator scenarios one at a time, in the calling thread."""
+        for index, query, method, estimator_fn, key in singles:
             start = time.perf_counter()
-            result, shards = estimate_under_policy(estimator_fn, scenario, policy)
+            result, shards = estimate_under_policy(estimator_fn, query.scenario, policy)
             seconds = time.perf_counter() - start
             self._cache_put(key, result)
-            outcomes[index] = ScenarioOutcome(
-                scenario,
+            answers[index] = Answer(
+                query,
                 result,
-                Provenance(estimator=method, seconds=seconds, shards=shards),
+                Provenance(
+                    estimator=method,
+                    seconds=seconds,
+                    shards=shards,
+                    backend="reliability",
+                ),
             )
 
     def _run_counting_group(
         self,
-        group: Sequence[tuple[int, Scenario, tuple | None, tuple]],
-        outcomes: list[ScenarioOutcome | None],
+        group: Sequence[tuple[int, Query, tuple | None, tuple]],
+        answers: list[Answer | None],
         policy: ExecutionPolicy = SERIAL,
     ) -> None:
         """One shared joint-count DP sweep for same-size counting scenarios.
@@ -514,19 +499,19 @@ class ReliabilityEngine:
         )
 
         start = time.perf_counter()
-        n = group[0][1].fleet.n
+        n = group[0][1].scenario.fleet.n
         unique_index: dict[tuple, int] = {}
         unique_fleets: list = []
         # Scenarios sharing a spec (by grouping key) reduce together.
-        by_spec: dict[tuple, list[tuple[int, Scenario, tuple | None, int]]] = {}
-        for index, scenario, key, fleet_key in group:
+        by_spec: dict[tuple, list[tuple[int, Query, tuple | None, int]]] = {}
+        for index, query, key, fleet_key in group:
             slot = unique_index.get(fleet_key)
             if slot is None:
                 slot = len(unique_fleets)
                 unique_index[fleet_key] = slot
-                unique_fleets.append(scenario.fleet)
-            by_spec.setdefault(scenario.spec.grouping_key(), []).append(
-                (index, scenario, key, slot)
+                unique_fleets.append(query.scenario.fleet)
+            by_spec.setdefault(query.scenario.spec.grouping_key(), []).append(
+                (index, query, key, slot)
             )
 
         crash = np.array([fleet.crash_probabilities for fleet in unique_fleets])
@@ -536,20 +521,20 @@ class ReliabilityEngine:
 
         detail = f"joint count DP over {(n + 1) * (n + 2) // 2} count pairs"
         batch_size = len(group)
-        computed: list[tuple[int, Scenario, ReliabilityResult]] = []
+        computed: list[tuple[int, Query, ReliabilityResult]] = []
         def reduce_chunk(lo: int, hi: int, pmfs: np.ndarray) -> None:
             for members in by_spec.values():
                 selected = [entry for entry in members if lo <= entry[3] < hi]
                 if not selected:
                     continue
-                masks = verdict_masks(selected[0][1].spec)
+                masks = verdict_masks(selected[0][1].scenario.spec)
                 local_slots = [slot - lo for _, _, _, slot in selected]
                 safe_v, live_v, both_v = reliability_values_batch(
                     pmfs[local_slots], masks
                 )
-                for position, (index, scenario, key, _) in enumerate(selected):
+                for position, (index, query, key, _) in enumerate(selected):
                     result = ReliabilityResult(
-                        protocol=scenario.spec.name,
+                        protocol=query.scenario.spec.name,
                         n=n,
                         safe=Estimate.exact(float(safe_v[position])),
                         live=Estimate.exact(float(live_v[position])),
@@ -558,7 +543,7 @@ class ReliabilityEngine:
                         detail=detail,
                     )
                     self._cache_put(key, result)
-                    computed.append((index, scenario, result))
+                    computed.append((index, query, result))
 
         # Sweep and reduce one fleet-chunk at a time so peak memory stays
         # near the chunk cap: only a bounded number of chunks' PMFs are live,
@@ -572,14 +557,13 @@ class ReliabilityEngine:
         if policy.parallel and len(ranges) > 1:
             from repro.analysis.kernels import run_sharded
 
-            sweep = lambda bounds: joint_count_pmf_batch(  # noqa: E731
-                crash[bounds[0] : bounds[1]], byz[bounds[0] : bounds[1]]
-            )
             for wave_start in range(0, len(ranges), policy.jobs):
                 wave = ranges[wave_start : wave_start + policy.jobs]
-                for (lo, hi), pmfs in zip(
-                    wave, run_sharded(sweep, wave, jobs=policy.jobs, mode="thread")
-                ):
+                payloads = [(crash[lo:hi], byz[lo:hi]) for lo, hi in wave]
+                pmf_chunks = run_sharded(
+                    _sweep_chunk, payloads, jobs=policy.jobs, mode="thread"
+                )
+                for (lo, hi), pmfs in zip(wave, pmf_chunks):
                     reduce_chunk(lo, hi, pmfs)
         else:
             for lo, hi in ranges:
@@ -600,10 +584,33 @@ class ReliabilityEngine:
             )
         share = (finished - start) / batch_size
         provenance = Provenance(
-            estimator="counting", batched=True, batch_size=batch_size, seconds=share
+            estimator="counting",
+            batched=True,
+            batch_size=batch_size,
+            seconds=share,
+            backend="reliability",
         )
-        for index, scenario, result in computed:
-            outcomes[index] = ScenarioOutcome(scenario, result, provenance)
+        for index, query, result in computed:
+            answers[index] = Answer(query, result, provenance)
+
+
+@register_backend("reliability")
+def _reliability_backend(
+    engine: ReliabilityEngine, queries: Sequence[Query], policy: ExecutionPolicy
+) -> list[Answer]:
+    """Answer ``reliability`` queries with the engine's scenario planner."""
+    return engine._plan_reliability(queries, policy)
+
+
+def _sweep_chunk(payload: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Thread-pool entry point: one fleet-chunk's joint-count DP sweep.
+
+    The kernel is looked up at call time, so instrumentation that patches
+    :mod:`repro.analysis.kernels` in place sees every chunk."""
+    from repro.analysis.kernels import joint_count_pmf_batch
+
+    crash, byz = payload
+    return joint_count_pmf_batch(crash, byz)
 
 
 def _run_single_in_worker(
@@ -622,10 +629,10 @@ _DEFAULT_ENGINE: ReliabilityEngine | None = None
 
 
 def default_engine() -> ReliabilityEngine:
-    """The process-wide engine behind ``analyze``/``analyze_batch`` and the
-    planner/horizon/CLI consumers.  Sharing one instance is what makes the
-    memo cache pay off across layers (a planner sweep warms the cache the
-    CLI then hits)."""
+    """The process-wide engine behind the planner/horizon/CLI consumers.
+
+    Sharing one instance is what makes the memo cache pay off across
+    layers (a planner sweep warms the cache the CLI then hits)."""
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:
         _DEFAULT_ENGINE = ReliabilityEngine()

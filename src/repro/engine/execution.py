@@ -10,8 +10,8 @@ shard size, and :meth:`repro.engine.ReliabilityEngine.run` uses it to
 * switch the built-in sampling estimators to spawned-stream sharding
   (worker-count-independent, see :mod:`repro.analysis.kernels`).
 
-The determinism contract mirrors the kernel layer's: every value in an
-:class:`~repro.engine.EngineResult` depends on the scenarios and on
+The determinism contract mirrors the kernel layer's: every answer value in
+an :class:`~repro.engine.AnswerSet` depends on the queries and on
 ``shard_trials`` — never on ``mode`` or ``jobs``.  With no policy (or the
 default :data:`SERIAL`), execution and results are byte-identical to the
 pre-policy engine, including the legacy single-stream sampling mode.

@@ -15,10 +15,11 @@ kind: a backend answers a whole same-kind batch of
 the Markov backends share one CTMC solve across a batch and the
 simulation backend fan replicas over an
 :class:`~repro.engine.ExecutionPolicy` pool.  The built-ins
-(``reliability``, ``availability``, ``mttf``, ``simulation``) live in
-:mod:`repro.engine.backends`; :func:`register_backend` makes third-party
-question kinds addressable from ``QuerySet`` rows and the CLI's JSON
-query files with no engine changes.
+``availability``, ``mttf`` and ``simulation`` live in
+:mod:`repro.engine.backends`; ``reliability`` is the engine's own
+scenario planner (:mod:`repro.engine.engine`).  :func:`register_backend`
+makes third-party question kinds addressable from ``QuerySet`` rows and
+the CLI's JSON query files with no engine changes.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def register_estimator(name: str) -> Callable[[EstimatorFn], EstimatorFn]:
 
 
 def get_estimator(name: str) -> EstimatorFn:
-    """Look up an estimator; error message matches the legacy ``analyze``."""
+    """Look up an estimator by name (``EstimationError`` when unknown)."""
     try:
         return _ESTIMATORS[name]
     except KeyError:

@@ -1,19 +1,14 @@
-"""Engine results: per-question answers plus execution provenance.
+"""Engine answers: per-question values plus execution provenance.
 
-An :class:`EngineResult` answers two questions at once: *what are the
-numbers* (the per-scenario :class:`~repro.analysis.result.ReliabilityResult`
-values, in submission order, bit-identical to the scalar estimators) and
-*how were they produced* (which estimator ran, whether the memo cache or a
-shared DP batch served the scenario, and how long it took) — the
-provenance an operator needs to trust a wall of nines.
-
-The Query/Answer generalisation keeps the same shape for the time domain:
-an :class:`Answer` pairs a :class:`~repro.engine.query.Query` with a typed
-value — a ``ReliabilityResult``, an :class:`AvailabilityAnswer`, an
-:class:`MTTFAnswer` or a :class:`SimulationAnswer` — plus a
-:class:`Provenance` that records the backend, batch and shard counts; an
-:class:`AnswerSet` is the ordered result of one mixed-kind
-:meth:`~repro.engine.ReliabilityEngine.run` submission.
+An :class:`AnswerSet` is the ordered result of one
+:meth:`~repro.engine.ReliabilityEngine.run` call.  Each :class:`Answer`
+answers two questions at once: *what are the numbers* (a typed value — a
+:class:`~repro.analysis.result.ReliabilityResult` bit-identical to the
+scalar estimators, an :class:`AvailabilityAnswer`, an :class:`MTTFAnswer`
+or a :class:`SimulationAnswer`) and *how were they produced* (a
+:class:`Provenance` recording the backend and estimator, whether the memo
+cache or a shared DP batch served the question, shard counts and wall
+time) — the provenance an operator needs to trust a wall of nines.
 """
 
 from __future__ import annotations
@@ -41,8 +36,8 @@ class Provenance:
     simulation campaign) split its budget into under an
     :class:`~repro.engine.ExecutionPolicy` (1 for exact estimators and for
     the legacy single-stream mode).  ``backend`` names the query backend
-    that produced a time-domain answer; it is empty on the legacy
-    scenario path, whose provenance strings are frozen by golden tests.
+    that produced the answer (``reliability``, ``availability``, ``mttf``,
+    ``simulation`` or a registered third-party kind).
 
     ``degraded`` marks a partial answer: the supervised runtime dropped
     ``dropped_shards`` after exhausting their retries (opt-in via
@@ -81,62 +76,6 @@ class Provenance:
             suffix += f"/degraded[{len(self.dropped_shards)}]"
         head = f"{self.backend}:{self.estimator}" if self.backend else self.estimator
         return f"{head}/{source}{suffix}"
-
-
-@dataclass(frozen=True)
-class ScenarioOutcome:
-    """One scenario, its reliability result, and how it was computed."""
-
-    scenario: Scenario
-    result: ReliabilityResult
-    provenance: Provenance
-
-
-@dataclass(frozen=True)
-class EngineResult:
-    """Ordered outcomes of one :meth:`ReliabilityEngine.run` call."""
-
-    outcomes: tuple[ScenarioOutcome, ...] = field(default_factory=tuple)
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def __iter__(self) -> Iterator[ScenarioOutcome]:
-        return iter(self.outcomes)
-
-    def __getitem__(self, index: int) -> ScenarioOutcome:
-        return self.outcomes[index]
-
-    @property
-    def results(self) -> list[ReliabilityResult]:
-        """Per-scenario reliability results in submission order."""
-        return [outcome.result for outcome in self.outcomes]
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome.provenance.cache_hit)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(outcome.provenance.seconds for outcome in self.outcomes)
-
-    def table(self) -> list[dict[str, str]]:
-        """Paper-style rows with a provenance column for CLI rendering."""
-        rows = []
-        for outcome in self.outcomes:
-            scenario, result = outcome.scenario, outcome.result
-            rows.append(
-                {
-                    "label": scenario.label or f"{result.protocol}/n={result.n}",
-                    "protocol": result.protocol,
-                    "N": str(result.n),
-                    "Safe %": format_probability(result.safe.value),
-                    "Live %": format_probability(result.live.value),
-                    "Safe and Live %": format_probability(result.safe_and_live.value),
-                    "via": outcome.provenance.describe(),
-                }
-            )
-        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +288,7 @@ class Answer:
 
 @dataclass(frozen=True)
 class AnswerSet:
-    """Ordered answers of one mixed-kind :meth:`ReliabilityEngine.run` call."""
+    """Ordered answers of one :meth:`ReliabilityEngine.run` call."""
 
     answers: tuple[Answer, ...] = field(default_factory=tuple)
 

@@ -202,13 +202,12 @@ class Scenario:
     """One reliability question: a (spec, fleet) pair plus estimator budget.
 
     ``method`` is an estimator name from the engine registry (``"auto"``
-    resolves exactly like :func:`repro.analysis.analyze` always has:
-    counting DP for symmetric specs, exact enumeration for small
-    asymmetric fleets, Monte-Carlo otherwise).  ``trials``/``seed`` budget
-    the sampling estimators.  ``correlation`` switches Monte-Carlo to the
-    correlated sampler with ``failure_kind`` outcomes.  ``window_hours``
-    and ``label`` are provenance-only metadata (horizon sweeps stamp the
-    window each scenario was projected for).
+    prefers exact answers: counting DP for symmetric specs, exact
+    enumeration for small asymmetric fleets, Monte-Carlo otherwise).
+    ``trials``/``seed`` budget the sampling estimators.  ``correlation``
+    switches Monte-Carlo to the correlated sampler with ``failure_kind``
+    outcomes.  ``window_hours`` and ``label`` are provenance-only metadata
+    (horizon sweeps stamp the window each scenario was projected for).
     """
 
     spec: ProtocolSpec

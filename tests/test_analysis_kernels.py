@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._rng import as_generator
-from repro.analysis import analyze, analyze_batch
 from repro.analysis.config import FailureConfig, FaultKind
 from repro.analysis.counting import counting_reliability, joint_count_pmf
 from repro.analysis.exact import enumerate_configurations, worst_configurations
@@ -46,6 +45,7 @@ from repro.analysis.sensitivity import (
     importance_ranking,
     reliability_gradient,
 )
+from repro.engine import ReliabilityEngine, Scenario
 from repro.errors import InvalidConfigurationError
 from repro.faults.correlation import CommonShockModel, rollout_shock
 from repro.faults.curves import ConstantHazard
@@ -91,6 +91,12 @@ def _asymmetric_pair() -> tuple[ReliabilityAwareRaftSpec, Fleet]:
     spec = ReliabilityAwareRaftSpec(6, pinned=(0, 1))
     fleet = Fleet(tuple(NodeModel(0.04 + 0.01 * i, 0.004) for i in range(6)))
     return spec, fleet
+
+
+def _engine_sweep(spec, fleets) -> list:
+    """One engine run over a same-spec fleet sweep (shared DP when symmetric)."""
+    scenarios = [Scenario(spec=spec, fleet=fleet) for fleet in fleets]
+    return ReliabilityEngine().run(scenarios).values
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +247,22 @@ class TestCountingKernel:
             assert batched.safe_and_live.value == single.safe_and_live.value
 
     def test_analyze_batch_matches_analyze(self):
+        """An engine fleet sweep equals per-fleet single-query runs."""
         spec = PBFTSpec(7)
         fleets = [uniform_fleet(7, p, byzantine_fraction=1.0) for p in (0.01, 0.05, 0.1)]
-        batch = analyze_batch(spec, fleets)
+        batch = _engine_sweep(spec, fleets)
         for fleet, batched in zip(fleets, batch):
-            assert batched.safe_and_live.value == analyze(spec, fleet).safe_and_live.value
+            single = ReliabilityEngine().run_query(Scenario(spec=spec, fleet=fleet))
+            assert batched.safe_and_live.value == single.value.safe_and_live.value
 
     def test_analyze_batch_asymmetric_falls_back(self):
         spec, fleet = _asymmetric_pair()
-        batch = analyze_batch(spec, [fleet])
-        assert batch[0].safe_and_live.value == analyze(spec, fleet).safe_and_live.value
+        batch = _engine_sweep(spec, [fleet])
+        single = ReliabilityEngine().run_query(Scenario(spec=spec, fleet=fleet))
+        assert batch[0].safe_and_live.value == single.value.safe_and_live.value
 
     def test_analyze_batch_empty(self):
-        assert analyze_batch(RaftSpec(3), []) == []
+        assert _engine_sweep(RaftSpec(3), []) == []
 
     def test_batch_rejects_mismatched_sizes(self):
         with pytest.raises(InvalidConfigurationError):

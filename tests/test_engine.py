@@ -3,7 +3,7 @@
 The contract under test: the engine is a *planner*, never a different
 estimator — whatever execution plan it picks (shared DP sweep, memo
 cache, per-scenario fallback), every ``ReliabilityResult`` must be
-bit-identical to calling the legacy free functions directly.
+bit-identical to calling the scalar estimators directly.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ import json
 
 import pytest
 
-from repro.analysis import analyze, analyze_batch
+from repro.analysis.counting import counting_reliability
+from repro.analysis.exact import configuration_count, exact_reliability
+from repro.analysis.montecarlo import monte_carlo_reliability
 from repro.analysis.result import Estimate, ReliabilityResult
 from repro.engine import (
     ExecutionPolicy,
@@ -23,6 +25,7 @@ from repro.engine import (
     register_estimator,
     registered_estimators,
 )
+from repro.engine.engine import EXACT_BUDGET
 from repro.engine.registry import get_estimator
 from repro.errors import EstimationError, InvalidConfigurationError
 from repro.faults.correlation import CommonShockModel, rollout_shock
@@ -57,12 +60,31 @@ ZOO = [
 ]
 
 
+def _scalar(spec, fleet, *, method="auto", trials=100_000, seed=None):
+    """The scalar estimator call the engine must reproduce bit-for-bit.
+
+    ``"auto"`` resolves as the engine does for the uncorrelated fleets used
+    here: counting DP for symmetric specs, enumeration for small
+    asymmetric fleets.
+    """
+    if method == "auto":
+        assert spec.symmetric or configuration_count(fleet) <= EXACT_BUDGET
+        method = "counting" if spec.symmetric else "exact"
+    if method == "counting":
+        return counting_reliability(spec, fleet)
+    if method == "exact":
+        return exact_reliability(spec, fleet)
+    assert method == "monte-carlo"
+    return monte_carlo_reliability(spec, fleet, trials=trials, seed=seed)
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("spec,fleet", ZOO, ids=lambda v: repr(v))
     def test_run_one_matches_analyze(self, spec, fleet):
+        """A single-query run equals the auto-selected scalar estimator."""
         engine = ReliabilityEngine()
-        outcome = engine.run_one(Scenario(spec=spec, fleet=fleet, seed=11))
-        assert outcome.result == analyze(spec, fleet, seed=11)
+        answer = engine.run_query(Scenario(spec=spec, fleet=fleet, seed=11))
+        assert answer.value == _scalar(spec, fleet, seed=11)
 
     def test_batched_counting_bit_identical_to_analyze(self):
         """Mixed-protocol grid: shared DP sweeps, full dataclass equality."""
@@ -72,42 +94,44 @@ class TestEquivalence:
             probabilities=(0.01, 0.02, 0.08),
         )
         engine = ReliabilityEngine()
-        results = engine.run(grid).results
-        legacy = [analyze(s.spec, s.fleet) for s in grid]
-        assert results == legacy  # Estimate values, method and detail alike
+        results = engine.run(grid).values
+        scalar = [counting_reliability(s.spec, s.fleet) for s in grid]
+        assert results == scalar  # Estimate values, method and detail alike
 
     def test_multi_spec_same_n_share_one_batch(self):
         """Raft and PBFT scenarios of one size land in the same DP group."""
         fleet_a = uniform_fleet(5, 0.03)
         fleet_b = uniform_fleet(5, 0.04, byzantine_fraction=1.0)
-        outcomes = ReliabilityEngine().run(
+        answers = ReliabilityEngine().run(
             [
                 Scenario(spec=RaftSpec(5), fleet=fleet_a),
                 Scenario(spec=PBFTSpec(5), fleet=fleet_b),
                 Scenario(spec=BenOrSpec(5), fleet=fleet_a),
             ]
         )
-        assert all(o.provenance.batched for o in outcomes)
-        assert all(o.provenance.batch_size == 3 for o in outcomes)
-        for outcome in outcomes:
-            assert outcome.result == analyze(outcome.scenario.spec, outcome.scenario.fleet)
+        assert all(a.provenance.batched for a in answers)
+        assert all(a.provenance.batch_size == 3 for a in answers)
+        for answer in answers:
+            assert answer.value == counting_reliability(
+                answer.scenario.spec, answer.scenario.fleet
+            )
 
     def test_analyze_batch_matches_engine(self):
+        """A same-spec fleet sweep equals the scalar counting loop."""
         spec = RaftSpec(5)
         fleets = [uniform_fleet(5, p) for p in (0.01, 0.02, 0.05)]
-        batch = analyze_batch(spec, fleets)
         engine_results = ReliabilityEngine().run(
             [Scenario(spec=spec, fleet=fleet) for fleet in fleets]
-        ).results
-        assert batch == engine_results
+        ).values
+        assert engine_results == [counting_reliability(spec, f) for f in fleets]
 
     def test_explicit_methods_match_legacy(self, mixed_fleet):
         spec = RaftSpec(7)
         for method in ("counting", "exact", "monte-carlo"):
-            outcome = ReliabilityEngine().run_one(
+            answer = ReliabilityEngine().run_query(
                 Scenario(spec=spec, fleet=mixed_fleet, method=method, trials=4_000, seed=5)
             )
-            assert outcome.result == analyze(
+            assert answer.value == _scalar(
                 spec, mixed_fleet, method=method, trials=4_000, seed=5
             )
 
@@ -117,28 +141,28 @@ class TestEquivalence:
         fleet = uniform_fleet(5, 0.05)
         model = CommonShockModel(fleet, (rollout_shock(fleet, 0.02),))
         spec = RaftSpec(5)
-        outcome = ReliabilityEngine().run_one(
+        answer = ReliabilityEngine().run_query(
             Scenario(spec=spec, fleet=fleet, correlation=model, trials=6_000, seed=2)
         )
-        assert outcome.result == monte_carlo_correlated(spec, model, trials=6_000, seed=2)
-        assert outcome.provenance.estimator == "monte-carlo"
+        assert answer.value == monte_carlo_correlated(spec, model, trials=6_000, seed=2)
+        assert answer.provenance.estimator == "monte-carlo"
 
     def test_unknown_method_raises_like_analyze(self, small_cft_fleet):
         with pytest.raises(EstimationError):
-            ReliabilityEngine().run_one(
+            ReliabilityEngine().run_query(
                 Scenario(spec=RaftSpec(3), fleet=small_cft_fleet, method="fnord")
             )
 
     def test_counting_on_asymmetric_raises_like_legacy(self):
         spec, fleet = ReliabilityAwareRaftSpec(6, pinned=(0, 1)), _mixed_fleet(6)
         with pytest.raises(InvalidConfigurationError):
-            ReliabilityEngine().run_one(
+            ReliabilityEngine().run_query(
                 Scenario(spec=spec, fleet=fleet, method="counting")
             )
 
     def test_size_mismatch_raises(self):
         with pytest.raises(InvalidConfigurationError):
-            ReliabilityEngine().run_one(
+            ReliabilityEngine().run_query(
                 Scenario(spec=RaftSpec(5), fleet=uniform_fleet(3, 0.01))
             )
 
@@ -147,18 +171,18 @@ class TestCache:
     def test_repeat_run_hits_cache(self):
         engine = ReliabilityEngine()
         scenario = Scenario(spec=RaftSpec(5), fleet=uniform_fleet(5, 0.02))
-        first = engine.run_one(scenario)
-        second = engine.run_one(scenario)
+        first = engine.run_query(scenario)
+        second = engine.run_query(scenario)
         assert not first.provenance.cache_hit
         assert second.provenance.cache_hit
-        assert first.result == second.result
+        assert first.value == second.value
 
     def test_in_run_duplicates_answered_once(self):
         engine = ReliabilityEngine()
         scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
-        outcomes = engine.run([scenario, scenario, scenario])
-        assert [o.provenance.cache_hit for o in outcomes] == [False, True, True]
-        assert len({id(o.result) for o in outcomes} ) == 1
+        answers = engine.run([scenario, scenario, scenario])
+        assert [a.provenance.cache_hit for a in answers] == [False, True, True]
+        assert len({id(a.value) for a in answers}) == 1
         # Counter hygiene: duplicates are hits, never negative misses.
         assert engine.cache_hits == 2
         assert engine.cache_misses == 1
@@ -173,67 +197,67 @@ class TestCache:
         scenario = Scenario(
             spec=spec, fleet=fleet, method="monte-carlo", trials=400, seed=rng
         )
-        first = engine.run_one(scenario)
+        first = engine.run_query(scenario)
         state = rng.bit_generator.state["state"]["state"]
-        second = engine.run_one(scenario)
+        second = engine.run_query(scenario)
         assert not second.provenance.cache_hit
-        # The second run consumed the shared stream, as analyze always did.
+        # The second run consumed the shared stream, as a direct call does.
         assert rng.bit_generator.state["state"]["state"] != state
-        assert first.result == analyze(
-            spec, fleet, method="monte-carlo", trials=400, seed=np.random.default_rng(7)
+        assert first.value == monte_carlo_reliability(
+            spec, fleet, trials=400, seed=np.random.default_rng(7)
         )
 
     def test_equal_specs_share_cache_entries(self):
         """Two distinct spec instances with equal parameters dedup."""
         engine = ReliabilityEngine()
         fleet = uniform_fleet(5, 0.02)
-        engine.run_one(Scenario(spec=RaftSpec(5), fleet=fleet))
-        hit = engine.run_one(Scenario(spec=RaftSpec(5), fleet=fleet))
+        engine.run_query(Scenario(spec=RaftSpec(5), fleet=fleet))
+        hit = engine.run_query(Scenario(spec=RaftSpec(5), fleet=fleet))
         assert hit.provenance.cache_hit
 
     def test_different_quorums_do_not_collide(self):
         engine = ReliabilityEngine()
         fleet = uniform_fleet(5, 0.1)
-        default = engine.run_one(Scenario(spec=RaftSpec(5), fleet=fleet))
-        flexible = engine.run_one(
+        default = engine.run_query(Scenario(spec=RaftSpec(5), fleet=fleet))
+        flexible = engine.run_query(
             Scenario(spec=RaftSpec(5, q_per=2, q_vc=4), fleet=fleet)
         )
         assert not flexible.provenance.cache_hit
-        assert flexible.result.live.value != default.result.live.value
+        assert flexible.value.live.value != default.value.live.value
 
     def test_unseeded_monte_carlo_never_cached(self):
         engine = ReliabilityEngine()
         spec, fleet = ReliabilityAwareRaftSpec(6, pinned=(0, 1)), _mixed_fleet(6)
         scenario = Scenario(spec=spec, fleet=fleet, method="monte-carlo", trials=500)
-        assert not engine.run_one(scenario).provenance.cache_hit
-        assert not engine.run_one(scenario).provenance.cache_hit
+        assert not engine.run_query(scenario).provenance.cache_hit
+        assert not engine.run_query(scenario).provenance.cache_hit
 
     def test_seeded_monte_carlo_cached(self):
         engine = ReliabilityEngine()
         spec, fleet = ReliabilityAwareRaftSpec(6, pinned=(0, 1)), _mixed_fleet(6)
         scenario = Scenario(spec=spec, fleet=fleet, method="monte-carlo", trials=500, seed=9)
-        engine.run_one(scenario)
-        assert engine.run_one(scenario).provenance.cache_hit
+        engine.run_query(scenario)
+        assert engine.run_query(scenario).provenance.cache_hit
 
     def test_cache_bound_evicts_lru(self):
         engine = ReliabilityEngine(cache_size=2)
         fleets = [uniform_fleet(3, p) for p in (0.01, 0.02, 0.03)]
         for fleet in fleets:
-            engine.run_one(Scenario(spec=RaftSpec(3), fleet=fleet))
+            engine.run_query(Scenario(spec=RaftSpec(3), fleet=fleet))
         # Oldest entry evicted; newest two still cached.
-        assert not engine.run_one(
+        assert not engine.run_query(
             Scenario(spec=RaftSpec(3), fleet=fleets[0])
         ).provenance.cache_hit
-        assert engine.run_one(
+        assert engine.run_query(
             Scenario(spec=RaftSpec(3), fleet=fleets[2])
         ).provenance.cache_hit
 
     def test_cache_clear(self):
         engine = ReliabilityEngine()
         scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
-        engine.run_one(scenario)
+        engine.run_query(scenario)
         engine.cache_clear()
-        assert not engine.run_one(scenario).provenance.cache_hit
+        assert not engine.run_query(scenario).provenance.cache_hit
 
 
 class TestRegistry:
@@ -243,7 +267,7 @@ class TestRegistry:
             assert name in names
 
     def test_importance_estimator_produces_result(self):
-        outcome = ReliabilityEngine().run_one(
+        answer = ReliabilityEngine().run_query(
             Scenario(
                 spec=RaftSpec(5),
                 fleet=uniform_fleet(5, 0.05),
@@ -252,8 +276,8 @@ class TestRegistry:
                 seed=1,
             )
         )
-        assert outcome.result.method == "importance"
-        assert 0.0 <= outcome.result.safe_and_live.value <= 1.0
+        assert answer.value.method == "importance"
+        assert 0.0 <= answer.value.safe_and_live.value <= 1.0
 
     def test_global_registration_reaches_engines(self):
         calls = []
@@ -272,14 +296,14 @@ class TestRegistry:
             )
 
         try:
-            outcome = ReliabilityEngine().run_one(
+            answer = ReliabilityEngine().run_query(
                 Scenario(
                     spec=RaftSpec(3),
                     fleet=uniform_fleet(3, 0.01),
                     method="test-constant",
                 )
             )
-            assert outcome.result.safe.value == 0.5
+            assert answer.value.safe.value == 0.5
             assert len(calls) == 1
         finally:
             from repro.engine import registry
@@ -293,8 +317,8 @@ class TestRegistry:
         scenario = Scenario(
             spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01), method="counting"
         )
-        warm = engine.run_one(scenario)
-        assert warm.result.method == "counting"
+        warm = engine.run_query(scenario)
+        assert warm.value.method == "counting"
 
         def stub(s):
             value = Estimate.exact(0.125)
@@ -308,9 +332,9 @@ class TestRegistry:
             )
 
         engine.register("counting", stub)
-        shadowed = engine.run_one(scenario)
+        shadowed = engine.run_query(scenario)
         assert not shadowed.provenance.cache_hit
-        assert shadowed.result.method == "stub"
+        assert shadowed.value.method == "stub"
 
     def test_counting_override_honored_for_batchable_scenarios(self):
         """The shared DP sweep must not bypass a shadowed counting estimator."""
@@ -331,7 +355,7 @@ class TestRegistry:
             Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, p), method="counting")
             for p in (0.01, 0.02, 0.03)
         ]
-        results = engine.run(scenarios).results
+        results = engine.run(scenarios).values
         assert all(r.method == "stub" for r in results)
 
     def test_per_engine_override_shadows_builtin(self):
@@ -347,16 +371,16 @@ class TestRegistry:
             )
 
         engine = ReliabilityEngine(estimators={"exact": fake_counting})
-        outcome = engine.run_one(
+        answer = engine.run_query(
             Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01), method="exact")
         )
-        assert outcome.result.method == "fake"
+        assert answer.value.method == "fake"
         # The global registry is untouched.
         assert get_estimator("exact") is not fake_counting
-        clean = ReliabilityEngine().run_one(
+        clean = ReliabilityEngine().run_query(
             Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01), method="exact")
         )
-        assert clean.result.method == "exact"
+        assert clean.value.method == "exact"
 
     def test_override_error_surfaces_as_itself_under_thread_policy(self):
         """A pooled override's own exception reaches the caller unwrapped."""
@@ -419,8 +443,8 @@ class TestSerialization:
         # Round-tripped scenarios answer identically.
         engine = ReliabilityEngine()
         assert (
-            engine.run_one(restored).result
-            == engine.run_one(scenario).result
+            engine.run_query(restored).value
+            == engine.run_query(scenario).value
         )
 
     def test_scenario_set_json_round_trip(self):
@@ -491,19 +515,13 @@ class TestDefaultEngine:
     def test_default_engine_is_shared(self):
         assert default_engine() is default_engine()
 
-    def test_analyze_shim_ignores_trials_on_exact_paths(self):
-        """Legacy compat: trials is only validated by sampling estimators."""
-        result = analyze(RaftSpec(3), uniform_fleet(3, 0.01), trials=0)
-        assert result.method == "counting"
+    def test_trials_ignored_on_exact_paths(self):
+        """trials is only validated by sampling estimators."""
+        engine = ReliabilityEngine()
+        fleet = uniform_fleet(3, 0.01)
+        answer = engine.run_query(Scenario(spec=RaftSpec(3), fleet=fleet, trials=0))
+        assert answer.value.method == "counting"
         with pytest.raises(InvalidConfigurationError):
-            analyze(RaftSpec(3), uniform_fleet(3, 0.01), method="monte-carlo", trials=0)
-
-    def test_analyze_shim_routes_through_default_engine(self):
-        engine = default_engine()
-        fleet = uniform_fleet(9, 0.037)
-        spec = RaftSpec(9)
-        analyze(spec, fleet)
-        # The shim warmed the shared cache: the engine now answers the
-        # same scenario without recomputing.
-        outcome = engine.run_one(Scenario(spec=RaftSpec(9), fleet=fleet))
-        assert outcome.provenance.cache_hit
+            engine.run_query(
+                Scenario(spec=RaftSpec(3), fleet=fleet, method="monte-carlo", trials=0)
+            )

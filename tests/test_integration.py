@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import analyze, counting_reliability, monte_carlo_reliability, nines
+from repro.analysis import counting_reliability, monte_carlo_reliability, nines
+from repro.engine import Scenario, default_engine
 from repro.faults.mixture import uniform_fleet
 from repro.protocols.raft import RaftSpec
+
+
+def _reliability(spec, fleet):
+    """One reliability question through the engine's front door."""
+    return default_engine().run_query(Scenario(spec=spec, fleet=fleet)).value
 
 
 class TestTelemetryToPlanningPipeline:
@@ -22,7 +28,7 @@ class TestTelemetryToPlanningPipeline:
         fleet = fleet_from_telemetry(
             telemetry, [("HMS-D14", 5)], window_hours=720.0, deployment_age_hours=8766.0
         )
-        result = analyze(RaftSpec(5), fleet)
+        result = _reliability(RaftSpec(5), fleet)
         assert result.safe.value == 1.0
         assert result.safe_and_live.value > 0.99
 
@@ -141,9 +147,11 @@ class TestEstimatorConsistencyAtScale:
     def test_analyze_dispatches_sensibly(self, mixed_fleet):
         from repro.protocols.reliability_aware import ReliabilityAwareRaftSpec
 
-        symmetric = analyze(RaftSpec(7), mixed_fleet)
+        symmetric = _reliability(RaftSpec(7), mixed_fleet)
         assert symmetric.method == "counting"
-        asymmetric = analyze(ReliabilityAwareRaftSpec(7, pinned=[4, 5, 6]), mixed_fleet)
+        asymmetric = _reliability(
+            ReliabilityAwareRaftSpec(7, pinned=[4, 5, 6]), mixed_fleet
+        )
         assert asymmetric.method == "exact"
 
 

@@ -323,7 +323,6 @@ class TestBitIdentity:
         names = {record.name for record in exporter.records}
         assert {
             "engine.run",
-            "engine.queries",
             "backend.simulation",
             "backend.reliability",
             "campaign",
@@ -672,4 +671,4 @@ class TestCliTrace:
         names = {
             e["name"] for e in document["traceEvents"] if e["ph"] == "X"
         }
-        assert {"engine.queries", "runtime.supervised", "shard"} <= names
+        assert {"engine.run", "runtime.supervised", "shard"} <= names

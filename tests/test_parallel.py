@@ -4,7 +4,7 @@ contracts of the multi-core layer.
 The two regression guarantees pinned here:
 
 * **Worker-count independence** — under spawned-stream mode, tallies,
-  estimates and whole :class:`EngineResult`s are identical for ``jobs=1``
+  estimates and whole answer sets are identical for ``jobs=1``
   and ``jobs=4``, across thread and process pools.
 * **Legacy bit-compatibility** — with ``jobs`` unset (or 1, or a serial
   policy) every path produces byte-identical results to the historical
@@ -223,17 +223,17 @@ class TestEnginePolicy:
         one = ReliabilityEngine().run(scenarios, policy=ExecutionPolicy(mode="thread", jobs=1))
         four = ReliabilityEngine().run(scenarios, policy=ExecutionPolicy(mode="thread", jobs=4))
         proc = ReliabilityEngine().run(scenarios, policy=ExecutionPolicy(mode="process", jobs=4))
-        assert one.results == four.results == proc.results
+        assert one.values == four.values == proc.values
 
     def test_legacy_engine_result_byte_identical_when_policy_unset(self):
         scenarios = _mixed_scenarios()
         baseline = ReliabilityEngine().run(scenarios)
         serial = ReliabilityEngine().run(scenarios, policy=ExecutionPolicy())
-        assert baseline.results == serial.results
+        assert baseline.values == serial.values
         # The serial policy keeps legacy details (no shard annotations).
-        for outcome in baseline:
-            assert "shards" not in outcome.result.detail
-            assert outcome.provenance.shards == 1
+        for answer in baseline:
+            assert "shards" not in answer.value.detail
+            assert answer.provenance.shards == 1
 
     def test_exact_values_unchanged_under_parallel_policy(self):
         scenarios = _mixed_scenarios()
@@ -243,10 +243,10 @@ class TestEnginePolicy:
         )
         for s, p in zip(serial, parallel):
             if p.provenance.estimator in ("counting", "exact"):
-                assert s.result == p.result
+                assert s.value == p.value
 
     def test_provenance_records_shard_count(self):
-        outcome = ReliabilityEngine().run_one(
+        answer = ReliabilityEngine().run_query(
             Scenario(
                 spec=RaftSpec(5),
                 fleet=uniform_fleet(5, 0.05),
@@ -256,8 +256,46 @@ class TestEnginePolicy:
             ),
             policy=ExecutionPolicy(mode="thread", jobs=2),
         )
-        assert outcome.provenance.shards == 8  # 30000 / 4096-trial shards
-        assert "shards[8]" in outcome.provenance.describe()
+        assert answer.provenance.shards == 8  # 30000 / 4096-trial shards
+        assert "shards[8]" in answer.provenance.describe()
+
+    def test_chunked_counting_sweep_waves_match_serial(self, monkeypatch):
+        """A counting group split into many DP chunks, swept in thread
+        waves, answers bit-for-bit like the serial sweep."""
+        import repro.analysis.kernels as kernels
+        import repro.engine.engine as engine_module
+
+        n = 5
+        # One fleet per chunk: seven unique fleets -> seven chunks, swept
+        # in four waves of at most two under jobs=2.
+        monkeypatch.setattr(engine_module, "_BATCH_CHUNK_FLOATS", (n + 1) ** 2)
+        scenarios = [
+            Scenario(spec=spec, fleet=uniform_fleet(n, p, byzantine_fraction=0.5))
+            for p in (0.01, 0.02, 0.03, 0.05, 0.08, 0.13, 0.21)
+            for spec in (RaftSpec(n), PBFTSpec(n))
+        ]
+        waves = []
+        sharded = kernels.run_sharded
+
+        def counting_run_sharded(worker, payloads, **kwargs):
+            waves.append(len(payloads))
+            return sharded(worker, payloads, **kwargs)
+
+        monkeypatch.setattr(kernels, "run_sharded", counting_run_sharded)
+        serial = ReliabilityEngine().run(scenarios)
+        assert waves == []
+        threaded = ReliabilityEngine().run(
+            scenarios, policy=ExecutionPolicy.from_jobs(2, mode="thread")
+        )
+        assert waves == [2, 2, 2, 1]
+        assert threaded.values == serial.values
+        assert [a.to_dict() for a in threaded] == [a.to_dict() for a in serial]
+        for s, t in zip(serial, threaded):
+            assert t.provenance.batched and t.provenance.batch_size == len(scenarios)
+            assert (s.provenance.batched, s.provenance.batch_size) == (
+                t.provenance.batched,
+                t.provenance.batch_size,
+            )
 
     def test_policy_and_legacy_cache_entries_do_not_collide(self):
         engine = ReliabilityEngine()
@@ -268,15 +306,17 @@ class TestEnginePolicy:
             trials=20_000,
             seed=4,
         )
-        legacy = engine.run_one(scenario).result
-        spawned = engine.run_one(
+        legacy = engine.run_query(scenario).value
+        spawned = engine.run_query(
             scenario, policy=ExecutionPolicy(mode="thread", jobs=2)
-        ).result
+        ).value
         assert legacy != spawned
         # Each mode hits its own cache entry on re-run.
-        assert engine.run_one(scenario).result == legacy
-        again = engine.run_one(scenario, policy=ExecutionPolicy(mode="thread", jobs=2))
-        assert again.result == spawned
+        assert engine.run_query(scenario).value == legacy
+        again = engine.run_query(
+            scenario, policy=ExecutionPolicy(mode="thread", jobs=2)
+        )
+        assert again.value == spawned
         assert again.provenance.cache_hit
 
     def test_policy_validation(self):
@@ -307,7 +347,7 @@ class TestEnginePolicy:
         baseline = ReliabilityEngine().run(
             scenarios, policy=ExecutionPolicy(mode="thread", jobs=1)
         )
-        assert engine.run(scenarios).results == baseline.results
+        assert engine.run(scenarios).values == baseline.values
 
     def test_overrides_still_honored_under_process_policy(self):
         from repro.analysis.counting import counting_reliability
@@ -328,10 +368,10 @@ class TestEnginePolicy:
             )
             for i in range(3)
         ]
-        result = engine.run(scenarios, policy=ExecutionPolicy(mode="process", jobs=2))
+        answers = engine.run(scenarios, policy=ExecutionPolicy(mode="process", jobs=2))
         assert len(calls) == 3  # ran in-process, through the override
         reference = counting_reliability(RaftSpec(3), uniform_fleet(3, 0.01))
-        assert all(o.result == reference for o in result)
+        assert all(value == reference for value in answers.values)
 
     def test_generator_seed_scenarios_run_deterministically_in_order(self):
         def build(policy):
@@ -347,7 +387,7 @@ class TestEnginePolicy:
                 )
                 for i in range(3)
             ]
-            return ReliabilityEngine().run(scenarios, policy=policy).results
+            return ReliabilityEngine().run(scenarios, policy=policy).values
 
         one = build(ExecutionPolicy(mode="thread", jobs=1))
         four = build(ExecutionPolicy(mode="thread", jobs=4))

@@ -18,7 +18,6 @@ from repro.engine import (
     Answer,
     AnswerSet,
     AvailabilityQuery,
-    EngineResult,
     ExecutionPolicy,
     MTTFQuery,
     Provenance,
@@ -402,13 +401,23 @@ class TestSimulationBackend:
 
 
 class TestEngineDispatch:
-    def test_bare_scenarios_still_return_engine_result(self):
-        engine = ReliabilityEngine()
-        result = engine.run(ScenarioSet.build([scenario(3), scenario(5)]))
-        assert isinstance(result, EngineResult)
-        assert not isinstance(result, AnswerSet)
-        # unchanged provenance strings (no backend prefix) on the legacy path
-        assert result[0].provenance.describe().startswith("counting/")
+    def test_every_input_shape_returns_the_same_answer_set(self):
+        """ScenarioSet, bare-scenario list and QuerySet are one contract."""
+        scenarios = [scenario(3), scenario(5), scenario(3, 0.05), scenario(3)]
+        rows = []
+        for shape in (
+            ScenarioSet.build(scenarios),
+            list(scenarios),
+            QuerySet.from_scenarios(scenarios),
+        ):
+            answers = ReliabilityEngine().run(shape)
+            assert isinstance(answers, AnswerSet)
+            assert all(
+                a.provenance.describe().startswith("reliability:counting/")
+                for a in answers
+            )
+            rows.append(json.dumps([a.to_dict() for a in answers]))
+        assert rows[0] == rows[1] == rows[2]
 
     def test_mixed_queries_and_scenarios_coerce(self):
         engine = ReliabilityEngine()
@@ -425,7 +434,7 @@ class TestEngineDispatch:
 
     def test_reliability_answers_match_scenario_path(self):
         engine = ReliabilityEngine()
-        plain = engine.run([scenario(5, 0.03)])[0].result
+        plain = engine.run([scenario(5, 0.03)])[0].value
         engine2 = ReliabilityEngine()
         answer = engine2.run(QuerySet.from_scenarios([scenario(5, 0.03)]))[0]
         assert answer.value == plain
