@@ -1,16 +1,15 @@
 """P1 — multi-core sharded Monte-Carlo: worker scaling and determinism.
 
-Times the spawned-stream sharded Monte-Carlo path (``jobs=``) against the
-legacy single-stream kernel on a small benchmark grid (Raft n=25 at three
-failure probabilities), from 1 to ``MAX_JOBS`` workers over both thread
-and process pools, plus the engine-level :class:`ExecutionPolicy` path on
-a mixed Monte-Carlo scenario set.  Beyond throughput it pins the PR's two
-correctness contracts:
+Times sharded Monte-Carlo with ``jobs`` unset (serial, in-process) against
+1 to ``MAX_JOBS`` workers over both thread and process pools on a small
+benchmark grid (Raft n=25 at three failure probabilities), plus the
+engine-level :class:`ExecutionPolicy` path on a mixed Monte-Carlo scenario
+set.  Beyond throughput it pins the determinism contract: results are
+asserted identical with ``jobs`` unset and across every worker count and
+executor mode (the shard plan depends only on the trial budget).
 
-* ``jobs=1`` (and ``jobs`` unset) stays on the legacy single stream —
-  results are asserted bit-identical to the pre-sharding baseline;
-* spawned-stream results are asserted identical across every worker count
-  and executor mode (the shard plan depends only on the trial budget).
+The ``legacy_*`` JSON keys and the ``jobs1_bit_identical_to_baseline`` flag
+keep their historical names; they now describe the ``jobs``-unset run.
 
 Emits ``BENCH_parallel.json`` at the repo root, recording ``cpu_count``:
 the ≥2x scaling expectation only applies on multi-core hosts, and the
@@ -68,7 +67,7 @@ def measure_monte_carlo() -> dict:
     cells = _grid_cells()
     total_trials = TRIALS * len(cells)
 
-    def run_legacy():
+    def run_unset():
         return [
             monte_carlo_reliability(spec, fleet, trials=TRIALS, seed=SEED)
             for spec, fleet in cells
@@ -77,8 +76,7 @@ def measure_monte_carlo() -> dict:
     def run_jobs(jobs: int, pool: str):
         return [
             monte_carlo_reliability(
-                spec, fleet, trials=TRIALS, seed=SEED, jobs=jobs, pool=pool,
-                sharding="spawn" if jobs == 1 else "auto",
+                spec, fleet, trials=TRIALS, seed=SEED, jobs=jobs, pool=pool
             )
             for spec, fleet in cells
         ]
@@ -86,29 +84,15 @@ def measure_monte_carlo() -> dict:
     # Warm NumPy dispatch + verdict masks off the clock.
     monte_carlo_reliability(cells[0][0], cells[0][1], trials=1000, seed=0)
 
-    legacy_seconds, legacy_results = _best(run_legacy)
-
-    # jobs=1 under the default ("auto") sharding stays on the legacy single
-    # stream: bit-identical to the pre-sharding baseline.
-    jobs1_auto = [
-        monte_carlo_reliability(spec, fleet, trials=TRIALS, seed=SEED, jobs=1)
-        for spec, fleet in cells
-    ]
-    assert jobs1_auto == legacy_results, (
-        "jobs=1 must stay bit-identical to the legacy single-stream baseline"
-    )
+    legacy_seconds, legacy_results = _best(run_unset)
 
     scaling = []
-    spawn_reference = None
     for pool in ("thread", "process"):
         for jobs in range(1, MAX_JOBS + 1):
             seconds, results = _best(lambda j=jobs, p=pool: run_jobs(j, p))
-            if spawn_reference is None:
-                spawn_reference = results
-            else:
-                assert results == spawn_reference, (
-                    f"spawned-stream results changed at jobs={jobs} pool={pool}"
-                )
+            assert results == legacy_results, (
+                f"results changed at jobs={jobs} pool={pool} vs jobs unset"
+            )
             scaling.append(
                 {
                     "jobs": jobs,
@@ -167,8 +151,8 @@ def measure_engine() -> dict:
     process4_seconds, process4 = _best(
         lambda: run_with(ExecutionPolicy(mode="process", jobs=MAX_JOBS))
     )
-    assert thread1 == thread4 == process4, (
-        "answer values must not depend on worker count or pool mode"
+    assert serial_results == thread1 == thread4 == process4, (
+        "answer values must not depend on the policy, worker count or pool mode"
     )
     return {
         "scenarios": len(scenarios),
@@ -197,7 +181,7 @@ def measure_all() -> dict:
 def _print_report(payload: dict) -> None:
     mc = payload["monte_carlo"]
     rows = [
-        ["legacy single stream", "1", "-", f"{mc['legacy_trials_per_sec']:,.0f}", "1.00x"],
+        ["jobs unset (serial)", "1", "-", f"{mc['legacy_trials_per_sec']:,.0f}", "1.00x"],
     ]
     for row in mc["scaling"]:
         rows.append(

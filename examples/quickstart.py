@@ -64,8 +64,8 @@ def main() -> None:
     # An ExecutionPolicy fans a scenario set across worker threads or
     # processes.  Monte-Carlo trial budgets shard into SeedSequence-spawned
     # streams whose plan depends only on the budget — so the numbers below
-    # are identical for jobs=1, jobs=2 or jobs=16 (only the wall-clock
-    # changes).  The CLI exposes the same knob as
+    # are identical with no policy at all and for jobs=1, jobs=2 or jobs=16
+    # (only the wall-clock changes).  The CLI exposes the same knob as
     # `repro-analyze sweep --n 25 --p 0.01,0.02 --jobs 4`.
     big = ScenarioSet.build(
         Scenario(

@@ -64,7 +64,6 @@ from repro.analysis.kernels import (
     BatchTally,
     VerdictMasks,
     birnbaum_importances,
-    counting_reliability_batch,
     joint_count_pmf_batch,
     verdict_masks,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "FaultKind",
     "config_probability",
     "counting_reliability",
-    "counting_reliability_batch",
     "joint_count_pmf",
     "joint_count_pmf_batch",
     "verdict_masks",

@@ -30,10 +30,9 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   gives each shard an independent ``SeedSequence``-spawned stream, and
   :func:`monte_carlo_tally_sharded` fans the shards over a thread or
   process pool (:func:`repro.engine.runtime.run_supervised`), merging
-  tallies in shard order.
-  Legacy single-stream sampling stays the seeded default for
-  bit-compatibility; spawned streams engage only when parallelism is
-  requested (see :func:`use_spawned_streams`).
+  tallies in shard order.  Spawned streams are the only way the sharded
+  samplers draw: seeded values depend on ``(trials, seed, shard_trials)``
+  and never on the worker count, the executor or whether ``jobs`` is set.
 
 * **One-pass Birnbaum** — :func:`loo_weighted_products` combines prefix
   count-DPs with a backward weight recursion to produce all ``n``
@@ -56,7 +55,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.analysis.config import FailureConfig, FaultKind
-from repro.analysis.result import Estimate, ReliabilityResult
 from repro.errors import InvalidConfigurationError
 from repro.faults.mixture import Fleet
 
@@ -195,18 +193,6 @@ def reliability_values_batch(
 # ---------------------------------------------------------------------------
 # Batched joint-count DP
 # ---------------------------------------------------------------------------
-def fleet_probability_matrix(fleets: Sequence[Fleet]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-node crash/Byzantine probabilities into (F, n) arrays."""
-    if not fleets:
-        raise InvalidConfigurationError("need at least one fleet")
-    n = fleets[0].n
-    if any(fleet.n != n for fleet in fleets):
-        raise InvalidConfigurationError("all fleets in a batch must have the same size")
-    crash = np.array([fleet.crash_probabilities for fleet in fleets], dtype=float)
-    byz = np.array([fleet.byzantine_probabilities for fleet in fleets], dtype=float)
-    return crash, byz
-
-
 def joint_count_pmf_batch(crash: np.ndarray, byz: np.ndarray) -> np.ndarray:
     """Joint crash/Byzantine count PMFs for ``F`` fleets at once.
 
@@ -244,46 +230,6 @@ def joint_count_pmf_batch(crash: np.ndarray, byz: np.ndarray) -> np.ndarray:
         dst[:, :k, 1 : k + 1] += src * byz[:, node, None, None]
         pmf, scratch = scratch, pmf
     return pmf
-
-
-def counting_reliability_batch(
-    spec: "ProtocolSpec", fleets: Sequence[Fleet]
-) -> list[ReliabilityResult]:
-    """Exact counting reliability for many same-size fleets in one DP sweep.
-
-    The batched analogue of
-    :func:`repro.analysis.counting.counting_reliability`; per-fleet values
-    are bit-identical to the scalar path.
-    """
-    if not spec.symmetric:
-        raise InvalidConfigurationError(
-            f"{spec.name} is not symmetric; the counting estimator does not apply"
-        )
-    crash, byz = fleet_probability_matrix(list(fleets))
-    if crash.shape[1] != spec.n:
-        raise InvalidConfigurationError(
-            f"fleets have {crash.shape[1]} nodes but spec expects {spec.n}"
-        )
-    masks = verdict_masks(spec)
-    pmfs = joint_count_pmf_batch(crash, byz)
-    results = []
-    for pmf in pmfs:
-        p_safe, p_live, p_both = reliability_values(pmf, masks)
-        results.append(
-            ReliabilityResult(
-                protocol=spec.name,
-                n=spec.n,
-                safe=Estimate.exact(p_safe),
-                live=Estimate.exact(p_live),
-                safe_and_live=Estimate.exact(p_both),
-                method="counting",
-                detail=(
-                    f"verdict-mask kernel, batch of {len(pmfs)} fleets over "
-                    f"{(spec.n + 1) * (spec.n + 2) // 2} count pairs"
-                ),
-            )
-        )
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +484,8 @@ def spawn_shard_generators(seed, count: int) -> list[np.random.Generator]:
 
     Generator view of :func:`spawn_shard_sequences` (one per child, same
     spawn order).  Child streams are statistically independent of each
-    other *and* of the legacy single stream, which is why spawned-stream
-    mode is opt-in rather than the seeded default.
+    other, and the first ``k`` children of a bigger spawn equal a smaller
+    spawn's children.
     """
     return [
         np.random.default_rng(child) for child in spawn_shard_sequences(seed, count)
@@ -558,30 +504,6 @@ def rebuild_shard_generators(
     stream-boundary module (see ``repro.contracts``).
     """
     return [np.random.default_rng(child) for child in children]
-
-
-def use_spawned_streams(jobs: int | None, sharding: str) -> bool:
-    """Resolve the stream mode from a ``jobs``/``sharding`` parameter pair.
-
-    ``"legacy"`` forces the historical single stream (and therefore serial
-    execution), ``"spawn"`` forces per-shard streams, and ``"auto"`` — the
-    default everywhere — keeps legacy bit-compatibility for ``jobs`` unset
-    or 1 and switches to spawned streams only when parallelism is requested.
-    """
-    if sharding == "legacy":
-        if jobs is not None and jobs > 1:
-            raise InvalidConfigurationError(
-                "legacy single-stream sampling is inherently serial; "
-                "use sharding='spawn' (or 'auto') to run with jobs > 1"
-            )
-        return False
-    if sharding == "spawn":
-        return True
-    if sharding == "auto":
-        return jobs is not None and jobs > 1
-    raise InvalidConfigurationError(
-        f"unknown sharding mode {sharding!r}; expected 'auto', 'legacy' or 'spawn'"
-    )
 
 
 def run_sharded(worker, payloads: Sequence, *, jobs: int, mode: str = "process") -> list:

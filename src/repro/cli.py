@@ -38,8 +38,8 @@ Byzantine attack campaigns are plain JSON::
 ``raft``/``pbft``/``sweep``/``scenarios``/``query`` take ``--jobs N`` to
 fan work over ``N`` worker processes (sharded counting-DP sweeps;
 spawned-stream Monte-Carlo; simulation replica fan-out).  Results are
-identical for any ``N``; leaving ``--jobs`` unset keeps the serial
-legacy-stream path, byte-identical to older releases.
+identical for any ``N`` and with ``--jobs`` unset (serial execution of the
+same shard plans).
 
 ``query`` additionally takes the fault-tolerance flags of the supervised
 campaign runtime (:mod:`repro.engine.runtime`): ``--timeout SECONDS``
@@ -69,11 +69,10 @@ from repro.protocols.raft import RaftSpec
 def _policy_from_args(args: argparse.Namespace):
     """Translate ``--jobs`` (and fault-tolerance flags) into a policy.
 
-    ``--jobs`` unset keeps the serial legacy-stream path (byte-identical
-    output).  Any explicit ``N >= 1`` switches to spawned-stream sharding
-    over ``N`` worker processes — the printed numbers are identical for
-    every ``N`` (shard plans never depend on the worker count); negative
-    means one worker per CPU.  ``--timeout``/``--retries``/
+    ``--jobs`` unset runs serially in-process; any explicit ``N >= 1``
+    runs over ``N`` worker processes and negative means one worker per
+    CPU.  The printed numbers are identical either way (shard plans never
+    depend on the worker count).  ``--timeout``/``--retries``/
     ``--on-shard-failure``/``--resume`` (where the subcommand offers
     them) configure the supervised campaign runtime; none of them
     changes any printed value.

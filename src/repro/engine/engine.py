@@ -211,11 +211,10 @@ class ReliabilityEngine:
         ``policy`` (default: the engine's constructor policy, itself
         defaulting to serial) picks the executor: a thread or process
         policy fans independent scenarios across workers, sweeps counting
-        DP chunks concurrently, and switches the built-in sampling
-        estimators to spawned-stream sharding.  Answer values depend only
-        on the queries and the policy's ``shard_trials`` — never on the
-        worker count or executor mode — and the serial policy is
-        byte-identical to the pre-policy engine.
+        DP chunks concurrently, and runs the shards of the built-in
+        sampling estimators on its pool.  Answer values depend only on the
+        queries and the policy's ``shard_trials`` — never on the worker
+        count or executor mode, serial included.
         """
         from repro.errors import EstimationError
 
@@ -261,7 +260,6 @@ class ReliabilityEngine:
         the batch or remembered from earlier runs — are answered from the
         memo with ``cache_hit`` provenance.
         """
-        spawned = active.spawned_streams
         answers: list[Answer | None] = [None] * len(queries)
         groups: dict[int, list[tuple[int, Query, tuple | None, tuple]]] = {}
         singles: list[tuple[int, Query, str, EstimatorFn, tuple | None]] = []
@@ -293,8 +291,9 @@ class ReliabilityEngine:
             )
             # Cache keys carry the estimator *function*, not its name, so
             # re-registering an estimator naturally invalidates its cached
-            # answers.  Generator seeds are stateful — each historical call
-            # advanced the stream — so only value seeds are reusable.
+            # answers.  Generator seeds are stateful — each call spawns
+            # fresh children off their SeedSequence — so only value seeds
+            # are reusable.
             key = None
             if correlation is None:
                 if method == "counting" or method == "exact":
@@ -307,12 +306,10 @@ class ReliabilityEngine:
                         scenario.trials,
                         int(scenario.seed),
                         scenario.failure_kind,
+                        # Sampled values depend on the shard plan, which
+                        # depends on the shard size (never on the executor).
+                        active.shard_trials,
                     )
-                    # Spawned-stream values differ from legacy single-stream
-                    # ones, and depend on the shard size: both join the key
-                    # so policy families never share sampling cache entries.
-                    if spawned:
-                        key = key + ("spawn", active.shard_trials)
                 if use_memo and key is not None:
                     with self._lock:
                         cached = self._memo.get(key)

@@ -7,14 +7,14 @@ shard size, and :meth:`repro.engine.ReliabilityEngine.run` uses it to
 
 * fan independent single-estimator scenarios out over the pool,
 * sweep the chunks of a shared counting-DP group concurrently, and
-* switch the built-in sampling estimators to spawned-stream sharding
-  (worker-count-independent, see :mod:`repro.analysis.kernels`).
+* run the shards of the built-in sampling estimators on the pool
+  (spawned streams, worker-count-independent, see
+  :mod:`repro.analysis.kernels`).
 
 The determinism contract mirrors the kernel layer's: every answer value in
 an :class:`~repro.engine.AnswerSet` depends on the queries and on
-``shard_trials`` — never on ``mode`` or ``jobs``.  With no policy (or the
-default :data:`SERIAL`), execution and results are byte-identical to the
-pre-policy engine, including the legacy single-stream sampling mode.
+``shard_trials`` — never on ``mode`` or ``jobs`` — so the default
+:data:`SERIAL` policy gives the same values as any pool.
 """
 
 from __future__ import annotations
@@ -129,29 +129,17 @@ class ExecutionPolicy:
         """Whether this policy runs work outside the calling thread."""
         return self.mode != "serial"
 
-    @property
-    def spawned_streams(self) -> bool:
-        """Whether sampling estimators use per-shard spawned streams.
-
-        Any non-serial policy does — including ``jobs=1`` — so that the
-        same policy family gives identical values at every worker count.
-        The serial policy keeps the legacy single stream (bit-compatible
-        with the pre-policy engine).
-        """
-        return self.mode != "serial"
-
     @classmethod
     def from_jobs(
         cls, jobs: int | None, *, mode: str = "process", **supervision
     ) -> "ExecutionPolicy":
         """CLI-style constructor: ``--jobs N`` → a policy.
 
-        ``None``/``0`` → the serial (legacy-stream) policy.  Any explicit
-        ``N >= 1`` → a spawned-stream policy with ``N`` workers in
-        ``mode`` — including ``N = 1``, so the numbers a user sees are
-        identical for *every* ``--jobs`` value, as documented.  Negative
-        → one worker per available CPU (still the same numbers: shard
-        plans never depend on the worker count).  Extra keyword arguments
+        ``None``/``0`` → the serial policy.  Any explicit ``N >= 1`` → a
+        pool of ``N`` workers in ``mode``; negative → one worker per
+        available CPU.  The numbers a user sees are identical for every
+        ``--jobs`` value, unset included: shard plans never depend on the
+        worker count.  Extra keyword arguments
         (``timeout=...``, ``retries=...``, ``on_shard_failure=...``,
         ``checkpoint_dir=...``) forward to the policy so ``--jobs`` and
         the fault-tolerance flags compose; supervision on a serial policy
@@ -189,11 +177,9 @@ class ExecutionPolicy:
         partial, provenance-flagged answer instead of a 500
         (``on_shard_failure="degrade"``), and completed shards journal to
         ``checkpoint_dir`` so a daemon restart resumes campaigns instead
-        of recomputing them.  The mode is always ``"thread"`` — even at
-        ``jobs=1`` — so sampling stays on the spawned-stream plan and the
-        numbers a client sees are identical for every ``--jobs`` value
-        (the :meth:`from_jobs` contract); threads rather than processes
-        because the campaign payloads share the daemon's warm engine and
+        of recomputing them.  The mode is always ``"thread"`` — at
+        ``jobs=1`` the runtime simply runs shards in-process — and threads
+        rather than processes because the campaign payloads share the daemon's warm engine and
         the NumPy kernels release the GIL on the hot path.  As everywhere
         else, none of the supervision knobs changes any answer value.
         """
@@ -210,5 +196,5 @@ class ExecutionPolicy:
         )
 
 
-#: The default policy: the historical serial, legacy-stream execution.
+#: The default policy: in-process serial execution.
 SERIAL = ExecutionPolicy()

@@ -153,7 +153,6 @@ def _importance_impl(
     scenario: Scenario,
     *,
     jobs: int | None = None,
-    sharding: str = "auto",
     shard_trials: int | None = None,
     pool: str = "process",
 ) -> ReliabilityResult:
@@ -170,7 +169,6 @@ def _importance_impl(
             seed=scenario.seed,
             failure_kind=scenario.failure_kind,
             jobs=jobs,
-            sharding=sharding,
             shard_trials=shard_trials,
             pool=pool,
         )
@@ -217,20 +215,20 @@ def estimate_under_policy(
     """Run one estimator under an :class:`~repro.engine.ExecutionPolicy`.
 
     Returns ``(result, shards)``.  Only the built-in sampling estimators
-    understand policies: under a spawned-stream policy they shard their
-    trial budget (worker-count-independently) and the shard count lands in
-    the scenario's provenance.  Everything else — exact estimators,
-    per-engine overrides, third-party registrations, correlated scenarios
-    (whose models draw from one shared stream) — runs unchanged with
-    ``shards=1``.  ``jobs`` overrides the estimator-level worker count;
-    the engine passes 1 when it is already parallel at scenario
-    granularity, so pools never nest.
+    understand policies: they shard their trial budget by the policy's
+    ``shard_trials`` (worker-count-independently), run the shards on the
+    policy's pool, and the shard count lands in the scenario's provenance.
+    Everything else — exact estimators, per-engine overrides, third-party
+    registrations, correlated scenarios (whose models draw from one shared
+    stream) — runs unchanged with ``shards=1``.  ``jobs`` overrides the
+    estimator-level worker count; the engine passes 1 when it is already
+    parallel at scenario granularity, so pools never nest.
     """
-    if policy is None or not policy.spawned_streams:
+    if scenario.correlation is not None:
         return estimator_fn(scenario), 1
     workers = policy.jobs if jobs is None else jobs
-    if estimator_fn is BUILTIN_MONTE_CARLO and scenario.correlation is None:
-        from repro.analysis.kernels import plan_shards
+    pool = policy.mode if workers > 1 else "serial"
+    if estimator_fn is BUILTIN_MONTE_CARLO:
         from repro.analysis.montecarlo import monte_carlo_reliability
 
         result = monte_carlo_reliability(
@@ -239,23 +237,18 @@ def estimate_under_policy(
             trials=scenario.trials,
             seed=scenario.seed,
             jobs=workers,
-            sharding="spawn",
             shard_trials=policy.shard_trials,
-            pool=policy.mode if workers > 1 else "serial",
+            pool=pool,
         )
-        return result, plan_shards(scenario.trials, policy.shard_trials).num_shards
-    if estimator_fn is BUILTIN_IMPORTANCE and scenario.correlation is None:
-        from repro.analysis.kernels import plan_shards
-
+    elif estimator_fn is BUILTIN_IMPORTANCE:
         result = _importance_impl(
-            scenario,
-            jobs=workers,
-            sharding="spawn",
-            shard_trials=policy.shard_trials,
-            pool=policy.mode if workers > 1 else "serial",
+            scenario, jobs=workers, shard_trials=policy.shard_trials, pool=pool
         )
-        return result, plan_shards(scenario.trials, policy.shard_trials).num_shards
-    return estimator_fn(scenario), 1
+    else:
+        return estimator_fn(scenario), 1
+    from repro.analysis.kernels import plan_shards
+
+    return result, plan_shards(scenario.trials, policy.shard_trials).num_shards
 
 
 __all__ = [

@@ -32,10 +32,10 @@ from repro.faults.curves import HOURS_PER_YEAR
 class Provenance:
     """How one question's numbers were obtained.
 
-    ``shards`` counts the spawned-stream shards a sampling estimator (or a
-    simulation campaign) split its budget into under an
+    ``shards`` counts the spawned-stream shards a built-in sampling
+    estimator (or a simulation campaign) split its budget into under an
     :class:`~repro.engine.ExecutionPolicy` (1 for exact estimators and for
-    the legacy single-stream mode).  ``backend`` names the query backend
+    correlated or third-party ones).  ``backend`` names the query backend
     that produced the answer (``reliability``, ``availability``, ``mttf``,
     ``simulation`` or a registered third-party kind).
 

@@ -121,8 +121,9 @@ register_spec_codec(
 
 
 def _check_spec_params(name: str, codec: SpecCodec, keys: Iterable[str]) -> None:
-    """Reject a parameter set that lacks an argument ``codec.build``
-    requires, naming the protocol and the missing parameters."""
+    """Reject a parameter set that ``codec.build`` cannot take, naming the
+    protocol and the missing or unknown parameters.  A codec whose builder
+    takes ``**kwargs`` accepts any extra key."""
     parameters = inspect.signature(codec.build).parameters.values()
     missing = [
         parameter.name
@@ -135,6 +136,19 @@ def _check_spec_params(name: str, codec: SpecCodec, keys: Iterable[str]) -> None
         raise InvalidConfigurationError(
             f"protocol {name!r} has no default for required parameter(s) "
             f"{', '.join(missing)}; give them explicitly in a spec dict"
+        )
+    if any(parameter.kind is parameter.VAR_KEYWORD for parameter in parameters):
+        return
+    accepted = {
+        parameter.name
+        for parameter in parameters
+        if parameter.kind is not parameter.POSITIONAL_ONLY
+    }
+    unknown = sorted(str(key) for key in keys if key not in accepted)
+    if unknown:
+        raise InvalidConfigurationError(
+            f"protocol {name!r} has no parameter(s) {', '.join(unknown)}; "
+            f"accepted: {', '.join(sorted(accepted))}"
         )
 
 

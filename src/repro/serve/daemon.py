@@ -24,9 +24,10 @@ hit rate, coalescing and campaign/degradation aggregates).
 
 Determinism note: the daemon never changes any answer value.  Its
 policy (:meth:`~repro.engine.ExecutionPolicy.for_service`) is a
-spawned-stream thread policy, so a response is bit-identical to running
-the same query file through ``repro-analyze query --jobs N`` for any
-``N`` — proven in ``tests/test_serve.py``.
+supervised thread policy, and answer values never depend on the policy,
+so a response is bit-identical to running the same query file through
+``repro-analyze query`` with ``--jobs`` unset or any ``N`` — proven in
+``tests/test_serve.py``.
 """
 
 from __future__ import annotations

@@ -188,7 +188,7 @@ class TestCache:
         assert engine.cache_misses == 1
 
     def test_generator_seed_never_cached(self):
-        """Generator seeds are stateful: every call must advance the stream."""
+        """Generator seeds are stateful: every call must spawn new streams."""
         import numpy as np
 
         engine = ReliabilityEngine()
@@ -198,11 +198,12 @@ class TestCache:
             spec=spec, fleet=fleet, method="monte-carlo", trials=400, seed=rng
         )
         first = engine.run_query(scenario)
-        state = rng.bit_generator.state["state"]["state"]
+        spawned = rng.bit_generator.seed_seq.n_children_spawned
         second = engine.run_query(scenario)
         assert not second.provenance.cache_hit
-        # The second run consumed the shared stream, as a direct call does.
-        assert rng.bit_generator.state["state"]["state"] != state
+        # The second run spawned fresh children off the generator's seed
+        # sequence, as a direct call does.
+        assert rng.bit_generator.seed_seq.n_children_spawned > spawned
         assert first.value == monte_carlo_reliability(
             spec, fleet, trials=400, seed=np.random.default_rng(7)
         )
@@ -509,6 +510,32 @@ class TestSerialization:
         )
         with pytest.raises(InvalidConfigurationError):
             scenario.to_dict()
+
+    def test_unknown_spec_key_rejected(self, monkeypatch):
+        from repro.engine import scenario as scenario_module
+
+        with pytest.raises(InvalidConfigurationError, match="'raft'.*bogus"):
+            scenario_module.spec_from_dict({"protocol": "raft", "n": 5, "bogus": 1})
+        with pytest.raises(InvalidConfigurationError, match="bogus"):
+            Scenario.from_dict(
+                {
+                    "spec": {"protocol": "pbft", "n": 4, "bogus": 1},
+                    "fleet": {"uniform": {"n": 4, "p_fail": 0.01}},
+                }
+            )
+        # A codec whose builder takes **kwargs accepts extra keys.
+        monkeypatch.setitem(
+            scenario_module._SPEC_CODECS,
+            "kwraft",
+            scenario_module.SpecCodec(
+                name="kwraft",
+                spec_type=RaftSpec,
+                build=lambda n, **extra: RaftSpec(n),
+                params=lambda spec: {"n": spec.n},
+            ),
+        )
+        spec = scenario_module.spec_from_dict({"protocol": "kwraft", "n": 5, "bogus": 1})
+        assert spec.grouping_key() == RaftSpec(5).grouping_key()
 
 
 class TestDefaultEngine:

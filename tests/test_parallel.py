@@ -1,14 +1,10 @@
 """Sharded execution: shard planning, stream spawning, and the determinism
 contracts of the multi-core layer.
 
-The two regression guarantees pinned here:
-
-* **Worker-count independence** — under spawned-stream mode, tallies,
-  estimates and whole answer sets are identical for ``jobs=1``
-  and ``jobs=4``, across thread and process pools.
-* **Legacy bit-compatibility** — with ``jobs`` unset (or 1, or a serial
-  policy) every path produces byte-identical results to the historical
-  single-stream implementations.
+The regression guarantee pinned here is **worker-count independence**:
+tallies, estimates and whole answer sets are identical with ``jobs`` unset
+(or a serial policy) and for ``jobs=1`` and ``jobs=4``, across thread and
+process pools — spawned streams are the only way the samplers draw.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from repro.analysis.kernels import (
     plan_shards,
     run_sharded,
     spawn_shard_generators,
-    use_spawned_streams,
 )
 from repro.analysis.montecarlo import monte_carlo_reliability
 from repro.engine import (
@@ -82,17 +77,6 @@ class TestShardPlanning:
         big = [rng.random(4).tolist() for rng in spawn_shard_generators(3, 5)]
         assert big[:2] == small
 
-    def test_stream_mode_resolution(self):
-        assert not use_spawned_streams(None, "auto")
-        assert not use_spawned_streams(1, "auto")
-        assert use_spawned_streams(2, "auto")
-        assert use_spawned_streams(None, "spawn")
-        assert not use_spawned_streams(None, "legacy")
-        with pytest.raises(InvalidConfigurationError):
-            use_spawned_streams(4, "legacy")
-        with pytest.raises(InvalidConfigurationError):
-            use_spawned_streams(2, "banana")
-
     def test_run_sharded_preserves_payload_order(self):
         double = lambda x: x * 2  # noqa: E731
         for mode in ("serial", "thread"):
@@ -111,7 +95,7 @@ class TestShardPlanning:
 
 
 class TestShardDeterminism:
-    """jobs=1 vs jobs=4 identical (spawned-stream mode); legacy unchanged."""
+    """jobs unset, jobs=1 and jobs=4 give identical values."""
 
     SPEC = RaftSpec(7)
     FLEET = uniform_fleet(7, 0.05)
@@ -130,8 +114,7 @@ class TestShardDeterminism:
 
     def test_reliability_identical_across_jobs(self):
         one = monte_carlo_reliability(
-            self.SPEC, self.FLEET, trials=30_000, seed=42,
-            jobs=1, sharding="spawn", pool="serial",
+            self.SPEC, self.FLEET, trials=30_000, seed=42, jobs=1, pool="serial"
         )
         four_t = monte_carlo_reliability(
             self.SPEC, self.FLEET, trials=30_000, seed=42, jobs=4, pool="thread"
@@ -142,37 +125,25 @@ class TestShardDeterminism:
         assert one == four_t == four_p
 
     def test_legacy_results_byte_identical_when_jobs_unset(self):
-        from repro._rng import as_generator
-
         unset = monte_carlo_reliability(self.SPEC, self.FLEET, trials=20_000, seed=9)
-        jobs_one = monte_carlo_reliability(
-            self.SPEC, self.FLEET, trials=20_000, seed=9, jobs=1
+        jobs_four = monte_carlo_reliability(
+            self.SPEC, self.FLEET, trials=20_000, seed=9, jobs=4, pool="thread"
         )
-        assert unset == jobs_one
-        # ... and both match the raw legacy kernel stream exactly.
-        tally = monte_carlo_tally(self.SPEC, self.FLEET, 20_000, as_generator(9))
-        assert unset.safe.value == tally.safe / 20_000
-        assert unset.safe_and_live.value == tally.both / 20_000
-        assert "shards" not in unset.detail
-
-    def test_spawn_differs_from_legacy_but_agrees_statistically(self):
-        legacy = monte_carlo_reliability(self.SPEC, self.FLEET, trials=40_000, seed=5)
-        spawned = monte_carlo_reliability(
-            self.SPEC, self.FLEET, trials=40_000, seed=5, jobs=2, pool="thread"
+        assert unset == jobs_four
+        # A budget of at most one shard is the raw kernel run over the
+        # seed's first spawned child.
+        small = monte_carlo_reliability(self.SPEC, self.FLEET, trials=4_000, seed=9)
+        tally = monte_carlo_tally(
+            self.SPEC, self.FLEET, 4_000, spawn_shard_generators(9, 1)[0]
         )
-        assert legacy != spawned  # different streams by design
-        assert abs(legacy.safe_and_live.value - spawned.safe_and_live.value) < 0.01
-
-    def test_legacy_mode_rejects_parallel_jobs(self):
-        with pytest.raises(InvalidConfigurationError):
-            monte_carlo_reliability(
-                self.SPEC, self.FLEET, trials=1000, seed=1, jobs=4, sharding="legacy"
-            )
+        assert small.safe.value == tally.safe / 4_000
+        assert small.safe_and_live.value == tally.both / 4_000
+        assert "over 1 spawned-stream shards" in small.detail
 
     def test_importance_identical_across_jobs(self):
         kwargs = dict(predicate="live", trials=12_000, seed=3)
         one = importance_sample_violation(
-            self.SPEC, self.FLEET, jobs=1, sharding="spawn", pool="serial", **kwargs
+            self.SPEC, self.FLEET, jobs=1, pool="serial", **kwargs
         )
         four = importance_sample_violation(
             self.SPEC, self.FLEET, jobs=4, pool="thread", **kwargs
@@ -182,10 +153,37 @@ class TestShardDeterminism:
 
     def test_importance_legacy_unchanged_when_jobs_unset(self):
         kwargs = dict(predicate="live", trials=12_000, seed=3)
-        a = importance_sample_violation(self.SPEC, self.FLEET, **kwargs)
-        b = importance_sample_violation(self.SPEC, self.FLEET, jobs=1, **kwargs)
-        assert a == b
-        assert a.shards == 1
+        unset = importance_sample_violation(self.SPEC, self.FLEET, **kwargs)
+        four = importance_sample_violation(
+            self.SPEC, self.FLEET, jobs=4, pool="thread", **kwargs
+        )
+        assert unset == four
+        assert unset.shards == 3
+        # A budget of at most one shard weights the draws of the seed's
+        # first spawned child.
+        from repro.analysis.config import FaultKind
+        from repro.analysis.importance import _tilted_violation_weights
+
+        small = dict(predicate="live", trials=4_000, seed=3)
+        one_shard = importance_sample_violation(self.SPEC, self.FLEET, **small)
+        assert one_shard.shards == 1
+        assert one_shard == importance_sample_violation(
+            self.SPEC, self.FLEET, jobs=4, pool="thread", **small
+        )
+        p = np.array(self.FLEET.failure_probabilities)
+        tilt = np.array(one_shard.tilt)
+        weights = _tilted_violation_weights(
+            self.SPEC,
+            "live",
+            self.SPEC.is_live,
+            tilt,
+            np.log(np.maximum(p, 1e-300)) - np.log(tilt),
+            np.log1p(-p) - np.log1p(-tilt),
+            4_000,
+            spawn_shard_generators(3, 1)[0],
+            FaultKind.CRASH,
+        )
+        assert one_shard.violation.value == float(weights.sum()) / 4_000
 
 
 def _mixed_scenarios() -> ScenarioSet:
@@ -229,11 +227,12 @@ class TestEnginePolicy:
         scenarios = _mixed_scenarios()
         baseline = ReliabilityEngine().run(scenarios)
         serial = ReliabilityEngine().run(scenarios, policy=ExecutionPolicy())
-        assert baseline.values == serial.values
-        # The serial policy keeps legacy details (no shard annotations).
-        for answer in baseline:
-            assert "shards" not in answer.value.detail
-            assert answer.provenance.shards == 1
+        thread = ReliabilityEngine().run(
+            scenarios, policy=ExecutionPolicy(mode="thread", jobs=2)
+        )
+        assert baseline.values == serial.values == thread.values
+        for s, t in zip(serial, thread):
+            assert s.provenance.shards == t.provenance.shards
 
     def test_exact_values_unchanged_under_parallel_policy(self):
         scenarios = _mixed_scenarios()
@@ -306,18 +305,24 @@ class TestEnginePolicy:
             trials=20_000,
             seed=4,
         )
-        legacy = engine.run_query(scenario).value
-        spawned = engine.run_query(
-            scenario, policy=ExecutionPolicy(mode="thread", jobs=2)
-        ).value
-        assert legacy != spawned
-        # Each mode hits its own cache entry on re-run.
-        assert engine.run_query(scenario).value == legacy
-        again = engine.run_query(
+        serial = engine.run_query(scenario)
+        assert not serial.provenance.cache_hit
+        # Serial and pooled policies with equal shard_trials give equal
+        # values, so they share one memo entry ...
+        thread = engine.run_query(
             scenario, policy=ExecutionPolicy(mode="thread", jobs=2)
         )
-        assert again.value == spawned
-        assert again.provenance.cache_hit
+        assert thread.provenance.cache_hit
+        assert thread.value == serial.value
+        # ... while a different shard size is a different plan.
+        resharded = engine.run_query(
+            scenario, policy=ExecutionPolicy(mode="thread", jobs=2, shard_trials=5_000)
+        )
+        assert not resharded.provenance.cache_hit
+        assert resharded.value != serial.value
+        assert engine.run_query(
+            scenario, policy=ExecutionPolicy(shard_trials=5_000)
+        ).provenance.cache_hit
 
     def test_policy_validation(self):
         with pytest.raises(InvalidConfigurationError):
@@ -332,14 +337,13 @@ class TestEnginePolicy:
     def test_from_jobs(self):
         assert not ExecutionPolicy.from_jobs(None).parallel
         assert not ExecutionPolicy.from_jobs(0).parallel
-        # An *explicit* --jobs 1 opts into spawned streams, so the CLI's
-        # "identical numbers for any N" contract includes N=1.
+        # An *explicit* --jobs 1 still builds a pool policy.
         one = ExecutionPolicy.from_jobs(1)
-        assert one.spawned_streams and one.jobs == 1
+        assert one.parallel and one.jobs == 1
         policy = ExecutionPolicy.from_jobs(3)
         assert policy.mode == "process" and policy.jobs == 3
         negative = ExecutionPolicy.from_jobs(-1)
-        assert negative.jobs >= 1 and negative.spawned_streams
+        assert negative.jobs >= 1 and negative.parallel
 
     def test_engine_default_policy_constructor(self):
         scenarios = _mixed_scenarios()

@@ -112,6 +112,25 @@ class TestRouting:
         assert status == 400
         assert "flexraft" in body["error"]
 
+    def test_unknown_spec_key_400(self, server):
+        payload = json.dumps(
+            {
+                "queries": [
+                    {
+                        "kind": "reliability",
+                        "scenario": {
+                            "spec": {"protocol": "raft", "n": 5, "bogus": 1},
+                            "fleet": {"uniform": {"n": 5, "p_fail": 0.01}},
+                        },
+                    }
+                ]
+            }
+        )
+        status, body = post(server.port, payload)
+        assert status == 400
+        assert "'raft'" in body["error"] and "bogus" in body["error"]
+        assert "<lambda>" not in body["error"]
+
     def test_oversized_body_413(self):
         config = ServiceConfig(port=0, max_body_bytes=64)
         with BackgroundServer(config) as small:
@@ -121,6 +140,42 @@ class TestRouting:
 
 
 class TestAnswers:
+    def test_seeded_sampling_rows_match_cli_at_every_jobs(self, tmp_path, capsys):
+        """Served seeded Monte-Carlo/importance rows equal the CLI's, with
+        ``--jobs`` unset and set: one RNG stream contract on every path."""
+        from repro.cli import main
+        from repro.engine import default_engine
+
+        payload = QuerySet.from_scenarios(
+            [
+                scenario(7, 0.05, method="monte-carlo", trials=20_000, seed=3),
+                scenario(7, 0.05, method="importance", trials=8_000, seed=5),
+            ]
+        ).to_json()
+        path = tmp_path / "seeded.json"
+        path.write_text(payload)
+
+        def rows(items: list[dict]) -> list[dict]:
+            return [
+                {k: v for k, v in row.items() if k not in ("seconds", "cache_hit")}
+                for row in items
+            ]
+
+        def cli(*flags: str) -> list[dict]:
+            # The CLI answers from the process-wide memo; start it cold so
+            # every run computes its rows along its own execution path.
+            default_engine().cache_clear()
+            assert main(["query", str(path), "--json", *flags]) == 0
+            return rows(json.loads(capsys.readouterr().out))
+
+        unset = cli()
+        assert cli("--jobs", "2") == unset
+        with BackgroundServer(ServiceConfig(port=0, jobs=1)) as daemon:
+            status, body = post(daemon.port, payload)
+        assert status == 200
+        assert rows(body["answers"]) == unset
+        assert [row["shards"] for row in unset] == [5, 2]
+
     def test_round_trip_matches_direct_engine_run(self, server):
         """The wire adds nothing: daemon rows == direct engine rows."""
         status, body = post(server.port, GRID_PAYLOAD)
